@@ -196,7 +196,8 @@ class BinFetcher:
 
         Returns ``(payload, verified)`` where payload is a packed bin
         when available, else a scalar row tuple (the engine had no
-        packed sidecar — post-insert, post-repair, or a legacy engine).
+        packed sidecar — post-insert, post-repair — or no replica could
+        serve it).
         """
         if not self.packed:
             return self.fetch_bin_entry(

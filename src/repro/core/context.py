@@ -395,19 +395,16 @@ class EpochContext:
         """Whole-bin columnar fetch of ``chosen`` — the vectorized STEP 3.
 
         Returns the engine's :class:`~repro.core.packed.PackedBin`, or
-        ``None`` when no packed sidecar exists for this table (after a
-        dynamic insert, a repair, or against an engine predating the
-        columnar layout) — the caller then falls back to the scalar
-        trapdoor fetch, which is authoritative for errors.
+        ``None`` when no packed sidecar serves this bin (after a dynamic
+        insert, a repair, or an exhausted replica group) — the caller
+        then falls back to the scalar trapdoor fetch, which is
+        authoritative for errors.
 
         ``verifier`` takes ``(packed, expected_cells)``; against a
         replicated engine it is bound to the bin's cell-ids and run on
         every replica attempt before acceptance, exactly like the
         scalar path's row verifier.
         """
-        fetch = getattr(engine, "fetch_packed_bin", None)
-        if fetch is None:
-            return None
         with telemetry.span(
             "enclave.fetch",
             stage="fetch",
@@ -439,7 +436,7 @@ class EpochContext:
                     if verifier is not None:
                         stats.verified = True
                 else:
-                    packed = fetch(self.table_name, chosen.index)
+                    packed = engine.fetch_packed_bin(self.table_name, chosen.index)
                     if packed is None:
                         return None
             # Stats move only once the fetch is known to have gone the
@@ -468,18 +465,15 @@ class EpochContext:
         like cached bins: a rewrite (key rotation, §6 bin rewrite)
         drops the decrypted state so a stale tree can never answer
         post-rewrite queries.  ``None`` means no sidecar is available
-        (legacy engine, un-sealed epoch, post-mutation) — callers fall
-        back to the bin path.
+        (un-sealed epoch, post-mutation) — callers fall back to the bin
+        path.
         """
-        fetch = getattr(engine, "fetch_agg_tree_meta", None)
-        if fetch is None:
-            return None
         if getattr(engine, "rewrite_in_progress", False):
             return None
         generation = getattr(engine, "rewrite_generation", 0)
         if self._tree_state is not None and self._tree_state[0] == generation:
             return self._tree_state[1]
-        meta = fetch(self.table_name)
+        meta = engine.fetch_agg_tree_meta(self.table_name)
         if meta is None:
             self._tree_state = (generation, None)
             return None
@@ -531,9 +525,6 @@ class EpochContext:
         the query.  Node count rides on the span and the stats — it is
         a pure function of the public range decomposition.
         """
-        fetch = getattr(engine, "fetch_tree_nodes", None)
-        if fetch is None:
-            return None
         with telemetry.span(
             "enclave.fetch",
             stage="tree_fetch",
@@ -563,7 +554,7 @@ class EpochContext:
                     if verify:
                         stats.verified = True
                 else:
-                    nodes = fetch(self.table_name, coords)
+                    nodes = engine.fetch_tree_nodes(self.table_name, coords)
                     if nodes is None:
                         return None
             stats.rows_fetched += len(coords)

@@ -204,6 +204,24 @@ class RangeExecutor:
             return False
         return schema.index_attributes in schema.filter_groups
 
+    @classmethod
+    def check_tree_shape(cls, query: RangeQuery, schema, oblivious: bool) -> None:
+        """Raise :class:`QueryError` unless the tree path may serve ``query``.
+
+        A caller's shape error, decided from public inputs alone, so a
+        router can reject it before any shard runs it.
+        """
+        if oblivious:
+            # Concealer+'s identical-trace guarantee covers the scalar
+            # trapdoor schedule only; a tree fetch would be a different
+            # in-enclave event trace per range length.
+            raise QueryError("tree path is unavailable under oblivious execution")
+        if not cls.tree_eligible(query, schema):
+            raise QueryError(
+                "query shape is not tree-eligible (aggregate, target, "
+                "wildcard, or predicate rules); use the bin path"
+            )
+
     def execute_tree(
         self, query: RangeQuery, context: EpochContext, deadline=None, overlay=None
     ) -> tuple[object, QueryStats]:
@@ -216,16 +234,7 @@ class RangeExecutor:
         ``verify=False`` policy, falls back to the bin path — the tree
         is an accelerator, never the sole source of truth.
         """
-        if self.oblivious:
-            # Concealer+'s identical-trace guarantee covers the scalar
-            # trapdoor schedule only; a tree fetch would be a different
-            # in-enclave event trace per range length.
-            raise QueryError("tree path is unavailable under oblivious execution")
-        if not self.tree_eligible(query, context.schema):
-            raise QueryError(
-                "query shape is not tree-eligible (aggregate, target, "
-                "wildcard, or predicate rules); use the bin path"
-            )
+        self.check_tree_shape(query, context.schema, self.oblivious)
         state = context.tree_state(self.engine)
         if state is None:
             return self.execute_multipoint(
@@ -243,9 +252,10 @@ class RangeExecutor:
             query.time_start,
             query.time_end,
         )
-        entity, present = context.tree_entity_for(
-            meta, directory, tuple(query.index_values)
-        )
+        # tree_eligible admitted exactly one combination; expanding it
+        # unwraps a one-element wildcard slot to its concrete value.
+        (combo,) = query.candidate_combinations()
+        entity, present = context.tree_entity_for(meta, directory, combo)
         coords: list[tuple[int, int, int]] = []
         if span.full_buckets:
             coords = [
@@ -274,7 +284,7 @@ class RangeExecutor:
                     )
                 if payload is None:
                     # Sidecar vanished between the meta read and the
-                    # node read (mutation, legacy replica): the bin
+                    # node read (mutation, exhausted replicas): the bin
                     # path is authoritative.
                     return self.execute_multipoint(
                         query, context, deadline=deadline, overlay=overlay

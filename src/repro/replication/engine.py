@@ -7,8 +7,9 @@ response channels) and presents the same interface the enclave already
 speaks — so the query executors work unchanged against one engine or
 five.
 
-The read path is the point of the layer.  A bin fetch is attempted
-against replicas in health order; each attempt is
+The read path is the point of the layer.  Every read — a bin's rows, a
+packed bin, a batch of aggregate-tree nodes — runs one loop that
+attempts replicas in health order; each attempt is
 
 1. gated by the replica's circuit breaker and the read's deadline,
 2. timed against the per-attempt budget (a stalling replica becomes a
@@ -19,12 +20,15 @@ against replicas in health order; each attempt is
 
 A failed attempt quarantines the replica for the affected (table,
 cell-id), records a breaker failure, and fails over to the next
-replica.  Only when every replica is exhausted does the read raise:
+replica.  Only when every replica is exhausted does a row read raise:
 :class:`~repro.exceptions.IntegrityViolation` if *all* answers were
 tampered (loud, permanent), else
 :class:`~repro.exceptions.NoHealthyReplica` (transient — the service's
 retry policy backs off, breakers reach half-open, and the read probes
-again).
+again).  The sidecar reads (packed bins, tree nodes) answer ``None``
+instead — on exhaustion, or when a replica holds no such sidecar — and
+their caller falls back to the row read, which raises the
+authoritative error.
 
 Writes fan out to every replica.  Replica-local write failures do not
 fail the operation while at least one replica applied it; divergent
@@ -334,120 +338,14 @@ class ReplicatedStorageEngine:
         cell-ids the trapdoors cover so quarantine can be skipped at
         bin granularity; ``deadline`` is checked before every attempt.
         """
-        self.last_read_failovers = 0
-        candidates = self.candidate_replicas(table, cells)
-        healthy = self.healthy_replica_count()
-        self.degraded = healthy < self.min_healthy
-        if self.degraded:
-            telemetry.counter(
-                "concealer_degraded_reads_total",
-                "reads served below the healthy-replica threshold",
-                secrecy=telemetry.PUBLIC_SIZE,
-            ).inc()
-        if self.policy.hedge and candidates and candidates[0] != min(candidates):
-            telemetry.counter(
-                "concealer_hedged_reads_total",
-                "reads whose replica order was hedged away from a straggler",
-                secrecy=telemetry.PUBLIC_SIZE,
-            ).inc()
-        with telemetry.span(
-            "replication.lookup", table=table, keys=len(keys), candidates=len(candidates)
-        ):
-            last_error: Exception | None = None
-            failures = 0
-            violations = 0
-            # Quarantine and breakers express *preference*, not safety:
-            # every answer is verified against the tag chain before it
-            # is accepted, so when the eligible pool is exhausted the
-            # quarantined replicas are tried as a verified last resort
-            # rather than failing a read whose data may be perfectly
-            # intact (a tampered *response channel* leaves stored rows
-            # untouched).
-            excluded = [
-                rid
-                for rid in range(len(self.replicas))
-                if rid not in set(candidates)
-            ]
-            for last_resort, pool in ((False, candidates), (True, excluded)):
-                for rid in pool:
-                    if deadline is not None:
-                        deadline.check("replication.attempt")
-                    breaker = self.breakers[rid]
-                    if not last_resort and not breaker.allow():
-                        continue
-                    started = self.clock.now()
-                    try:
-                        rows = self.replicas[rid].lookup_many(table, column, keys)
-                        elapsed = self.clock.now() - started
-                        timeout = self.policy.attempt_timeout
-                        if timeout is not None and elapsed > timeout:
-                            raise ReplicaTimeout(
-                                f"replica {rid} answered in {elapsed:.3f}s, "
-                                f"over the {timeout:.3f}s attempt budget"
-                            )
-                        if verifier is not None:
-                            verifier(rows)
-                    except IntegrityViolation as violation:
-                        self._observe_latency(rid, started)
-                        self._record_failure(rid, breaker, "integrity")
-                        self.quarantine.record(
-                            rid, table, violation.cell_id, violation.kind
-                        )
-                        last_error = violation
-                        failures += 1
-                        violations += 1
-                        continue
-                    except ReplicaTimeout as error:
-                        self._observe_latency(rid, started)
-                        self._record_failure(rid, breaker, "timeout")
-                        last_error = error
-                        failures += 1
-                        continue
-                    except TransientStorageError as error:
-                        self._observe_latency(rid, started)
-                        self._record_failure(rid, breaker, "transient")
-                        last_error = error
-                        failures += 1
-                        continue
-                    except StorageError as error:
-                        # Permanent storage failure on this replica — a
-                        # host that lost its disk (missing table, torn
-                        # page).  Fail over like any other replica
-                        # fault, and quarantine the whole table so
-                        # anti-entropy repair re-installs it from a
-                        # healthy peer rather than every future read
-                        # re-discovering the loss.
-                        self._observe_latency(rid, started)
-                        self._record_failure(rid, breaker, "storage-error")
-                        self.quarantine.record(
-                            rid, table, None, f"storage-error:{type(error).__name__}"
-                        )
-                        last_error = error
-                        failures += 1
-                        continue
-                    self._observe_latency(rid, started)
-                    breaker.record_success()
-                    self.last_read_failovers = failures
-                    if last_resort:
-                        telemetry.counter(
-                            "concealer_replica_last_resort_reads_total",
-                            "verified reads served by a quarantined or "
-                            "breaker-open replica after the eligible "
-                            "pool was exhausted",
-                            secrecy=telemetry.PUBLIC_SIZE,
-                        ).inc()
-                    return rows
-            self.last_read_failovers = failures
-            if violations and violations == failures and last_error is not None:
-                # Every replica that answered answered with tampered
-                # rows — surface the integrity violation itself so the
-                # service quarantines the cell and refuses to guess.
-                raise last_error
-            raise NoHealthyReplica(
-                f"no replica could serve {table!r} "
-                f"({len(candidates)} candidates, {failures} failed, "
-                f"{len(self.replicas) - len(candidates)} quarantined/skipped)"
-            ) from last_error
+        return self._verified_read(
+            table,
+            lambda replica: replica.lookup_many(table, column, keys),
+            verifier,
+            deadline,
+            cells,
+            keys=len(keys),
+        )
 
     def store_packed_bins(self, table: str, packed_bins: Sequence) -> None:
         """Install the columnar sidecar on every replica."""
@@ -456,9 +354,6 @@ class ReplicatedStorageEngine:
             table,
             lambda r: r.store_packed_bins(table, packed_bins),
         )
-
-    def has_packed_bins(self, table: str) -> bool:
-        return self._primary(table).has_packed_bins(table)
 
     def fetch_packed_bin(
         self,
@@ -470,110 +365,22 @@ class ReplicatedStorageEngine:
     ):
         """Whole-bin columnar read with verify-then-failover semantics.
 
-        Mirrors :meth:`lookup_many`: same breaker gating, per-attempt
-        timeout, verification before acceptance, quarantine scoping and
-        failover accounting.  Two deliberate differences keep the scalar
-        path authoritative for rare states: a replica *without* a packed
-        sidecar (post-repair, post-rotation) short-circuits the whole
-        read to ``None``, and an exhausted pool also returns ``None`` —
-        in both cases the caller falls back to the scalar row fetch,
-        which re-runs the failover loop and raises the authoritative
+        ``None`` means "fall back to the scalar row fetch": the first
+        replica to answer has no packed sidecar (post-repair,
+        post-rotation), or no replica could serve the bin.  The scalar
+        fetch re-runs the failover loop and raises the authoritative
         error if the table is truly unserveable.
         """
-        self.last_read_failovers = 0
-        candidates = self.candidate_replicas(table, cells)
-        healthy = self.healthy_replica_count()
-        self.degraded = healthy < self.min_healthy
-        if self.degraded:
-            telemetry.counter(
-                "concealer_degraded_reads_total",
-                "reads served below the healthy-replica threshold",
-                secrecy=telemetry.PUBLIC_SIZE,
-            ).inc()
-        if self.policy.hedge and candidates and candidates[0] != min(candidates):
-            telemetry.counter(
-                "concealer_hedged_reads_total",
-                "reads whose replica order was hedged away from a straggler",
-                secrecy=telemetry.PUBLIC_SIZE,
-            ).inc()
-        with telemetry.span(
-            "replication.lookup",
-            table=table,
-            bin=bin_index,
-            candidates=len(candidates),
-        ):
-            failures = 0
-            excluded = [
-                rid
-                for rid in range(len(self.replicas))
-                if rid not in set(candidates)
-            ]
-            for last_resort, pool in ((False, candidates), (True, excluded)):
-                for rid in pool:
-                    if deadline is not None:
-                        deadline.check("replication.attempt")
-                    breaker = self.breakers[rid]
-                    if not last_resort and not breaker.allow():
-                        continue
-                    fetch = getattr(self.replicas[rid], "fetch_packed_bin", None)
-                    if fetch is None:
-                        self.last_read_failovers = failures
-                        return None
-                    started = self.clock.now()
-                    try:
-                        packed = fetch(table, bin_index)
-                        elapsed = self.clock.now() - started
-                        timeout = self.policy.attempt_timeout
-                        if timeout is not None and elapsed > timeout:
-                            raise ReplicaTimeout(
-                                f"replica {rid} answered in {elapsed:.3f}s, "
-                                f"over the {timeout:.3f}s attempt budget"
-                            )
-                        if packed is not None and verifier is not None:
-                            verifier(packed)
-                    except IntegrityViolation as violation:
-                        self._observe_latency(rid, started)
-                        self._record_failure(rid, breaker, "integrity")
-                        self.quarantine.record(
-                            rid, table, violation.cell_id, violation.kind
-                        )
-                        failures += 1
-                        continue
-                    except ReplicaTimeout:
-                        self._observe_latency(rid, started)
-                        self._record_failure(rid, breaker, "timeout")
-                        failures += 1
-                        continue
-                    except TransientStorageError:
-                        self._observe_latency(rid, started)
-                        self._record_failure(rid, breaker, "transient")
-                        failures += 1
-                        continue
-                    except StorageError as error:
-                        self._observe_latency(rid, started)
-                        self._record_failure(rid, breaker, "storage-error")
-                        self.quarantine.record(
-                            rid, table, None, f"storage-error:{type(error).__name__}"
-                        )
-                        failures += 1
-                        continue
-                    self._observe_latency(rid, started)
-                    self.last_read_failovers = failures
-                    if packed is None:
-                        # This replica has no packed sidecar — scalar
-                        # fallback, without charging the breaker.
-                        return None
-                    breaker.record_success()
-                    if last_resort:
-                        telemetry.counter(
-                            "concealer_replica_last_resort_reads_total",
-                            "verified reads served by a quarantined or "
-                            "breaker-open replica after the eligible "
-                            "pool was exhausted",
-                            secrecy=telemetry.PUBLIC_SIZE,
-                        ).inc()
-                    return packed
-            self.last_read_failovers = failures
+        try:
+            return self._verified_read(
+                table,
+                lambda replica: replica.fetch_packed_bin(table, bin_index),
+                verifier,
+                deadline,
+                cells,
+                bin=bin_index,
+            )
+        except (IntegrityViolation, NoHealthyReplica):
             return None
 
     def store_agg_tree(self, table: str, tree) -> None:
@@ -581,9 +388,6 @@ class ReplicatedStorageEngine:
         self._fanout(
             "store_agg_tree", table, lambda r: r.store_agg_tree(table, tree)
         )
-
-    def has_agg_tree(self, table: str) -> bool:
-        return self._primary(table).has_agg_tree(table)
 
     def fetch_agg_tree_meta(self, table: str):
         """The tree's public shape + sealed directory from a healthy peer.
@@ -605,107 +409,20 @@ class ReplicatedStorageEngine:
     ):
         """Tree-node batch read with verify-then-failover semantics.
 
-        Mirrors :meth:`fetch_packed_bin`: breaker gating, per-attempt
-        timeout, verification (the enclave's node MAC + position check)
-        before acceptance, quarantine scoping, failover accounting.  A
-        replica without a tree sidecar — or an exhausted pool — returns
-        ``None`` and the caller falls back to the bin path, which is
-        authoritative for errors.
+        The verifier is the enclave's node MAC + position check.
+        ``None`` has the same fallback contract as
+        :meth:`fetch_packed_bin`, with the bin path as the authority.
         """
-        self.last_read_failovers = 0
-        candidates = self.candidate_replicas(table, cells)
-        healthy = self.healthy_replica_count()
-        self.degraded = healthy < self.min_healthy
-        if self.degraded:
-            telemetry.counter(
-                "concealer_degraded_reads_total",
-                "reads served below the healthy-replica threshold",
-                secrecy=telemetry.PUBLIC_SIZE,
-            ).inc()
-        if self.policy.hedge and candidates and candidates[0] != min(candidates):
-            telemetry.counter(
-                "concealer_hedged_reads_total",
-                "reads whose replica order was hedged away from a straggler",
-                secrecy=telemetry.PUBLIC_SIZE,
-            ).inc()
-        with telemetry.span(
-            "replication.lookup",
-            table=table,
-            keys=len(coords),
-            candidates=len(candidates),
-        ):
-            failures = 0
-            excluded = [
-                rid
-                for rid in range(len(self.replicas))
-                if rid not in set(candidates)
-            ]
-            for last_resort, pool in ((False, candidates), (True, excluded)):
-                for rid in pool:
-                    if deadline is not None:
-                        deadline.check("replication.attempt")
-                    breaker = self.breakers[rid]
-                    if not last_resort and not breaker.allow():
-                        continue
-                    fetch = getattr(self.replicas[rid], "fetch_tree_nodes", None)
-                    if fetch is None:
-                        self.last_read_failovers = failures
-                        return None
-                    started = self.clock.now()
-                    try:
-                        nodes = fetch(table, coords)
-                        elapsed = self.clock.now() - started
-                        timeout = self.policy.attempt_timeout
-                        if timeout is not None and elapsed > timeout:
-                            raise ReplicaTimeout(
-                                f"replica {rid} answered in {elapsed:.3f}s, "
-                                f"over the {timeout:.3f}s attempt budget"
-                            )
-                        if nodes is not None and verifier is not None:
-                            verifier(nodes)
-                    except IntegrityViolation as violation:
-                        self._observe_latency(rid, started)
-                        self._record_failure(rid, breaker, "integrity")
-                        self.quarantine.record(
-                            rid, table, violation.cell_id, violation.kind
-                        )
-                        failures += 1
-                        continue
-                    except ReplicaTimeout:
-                        self._observe_latency(rid, started)
-                        self._record_failure(rid, breaker, "timeout")
-                        failures += 1
-                        continue
-                    except TransientStorageError:
-                        self._observe_latency(rid, started)
-                        self._record_failure(rid, breaker, "transient")
-                        failures += 1
-                        continue
-                    except StorageError as error:
-                        self._observe_latency(rid, started)
-                        self._record_failure(rid, breaker, "storage-error")
-                        self.quarantine.record(
-                            rid, table, None, f"storage-error:{type(error).__name__}"
-                        )
-                        failures += 1
-                        continue
-                    self._observe_latency(rid, started)
-                    self.last_read_failovers = failures
-                    if nodes is None:
-                        # This replica has no tree sidecar — bin-path
-                        # fallback, without charging the breaker.
-                        return None
-                    breaker.record_success()
-                    if last_resort:
-                        telemetry.counter(
-                            "concealer_replica_last_resort_reads_total",
-                            "verified reads served by a quarantined or "
-                            "breaker-open replica after the eligible "
-                            "pool was exhausted",
-                            secrecy=telemetry.PUBLIC_SIZE,
-                        ).inc()
-                    return nodes
-            self.last_read_failovers = failures
+        try:
+            return self._verified_read(
+                table,
+                lambda replica: replica.fetch_tree_nodes(table, coords),
+                verifier,
+                deadline,
+                cells,
+                keys=len(coords),
+            )
+        except (IntegrityViolation, NoHealthyReplica):
             return None
 
     def fetch_row(self, table: str, row_id: int) -> Row:
@@ -797,6 +514,140 @@ class ReplicatedStorageEngine:
             if self.breakers[rid].state != "open":
                 return replica
         return self.replicas[0]
+
+    def _verified_read(
+        self,
+        table: str,
+        read: Callable,
+        verifier: Callable | None,
+        deadline: Deadline | None,
+        cells: Iterable[int] | None,
+        **size,
+    ):
+        """The replica-attempt loop every replicated read runs.
+
+        ``read(replica)`` fetches one replica's answer; ``size`` sizes
+        the request on the ``replication.lookup`` span.  A ``None``
+        answer (the replica holds no such sidecar) is returned as-is,
+        without a breaker strike, for the caller to fall back.  On
+        exhaustion raises :class:`IntegrityViolation` if every answer
+        was tampered, else :class:`NoHealthyReplica`.
+        """
+        self.last_read_failovers = 0
+        candidates = self.candidate_replicas(table, cells)
+        healthy = self.healthy_replica_count()
+        self.degraded = healthy < self.min_healthy
+        if self.degraded:
+            telemetry.counter(
+                "concealer_degraded_reads_total",
+                "reads served below the healthy-replica threshold",
+                secrecy=telemetry.PUBLIC_SIZE,
+            ).inc()
+        if self.policy.hedge and candidates and candidates[0] != min(candidates):
+            telemetry.counter(
+                "concealer_hedged_reads_total",
+                "reads whose replica order was hedged away from a straggler",
+                secrecy=telemetry.PUBLIC_SIZE,
+            ).inc()
+        with telemetry.span(
+            "replication.lookup", table=table, **size, candidates=len(candidates)
+        ):
+            last_error: Exception | None = None
+            failures = 0
+            violations = 0
+            # Quarantine and breakers express *preference*, not safety:
+            # every answer is verified before it is accepted, so when
+            # the eligible pool is exhausted the quarantined replicas
+            # are tried as a verified last resort rather than failing a
+            # read whose data may be perfectly intact (a tampered
+            # *response channel* leaves stored rows untouched).
+            excluded = [
+                rid
+                for rid in range(len(self.replicas))
+                if rid not in set(candidates)
+            ]
+            for last_resort, pool in ((False, candidates), (True, excluded)):
+                for rid in pool:
+                    if deadline is not None:
+                        deadline.check("replication.attempt")
+                    breaker = self.breakers[rid]
+                    if not last_resort and not breaker.allow():
+                        continue
+                    started = self.clock.now()
+                    try:
+                        answer = read(self.replicas[rid])
+                        elapsed = self.clock.now() - started
+                        timeout = self.policy.attempt_timeout
+                        if timeout is not None and elapsed > timeout:
+                            raise ReplicaTimeout(
+                                f"replica {rid} answered in {elapsed:.3f}s, "
+                                f"over the {timeout:.3f}s attempt budget"
+                            )
+                        if answer is not None and verifier is not None:
+                            verifier(answer)
+                    except IntegrityViolation as violation:
+                        self._observe_latency(rid, started)
+                        self._record_failure(rid, breaker, "integrity")
+                        self.quarantine.record(
+                            rid, table, violation.cell_id, violation.kind
+                        )
+                        last_error = violation
+                        failures += 1
+                        violations += 1
+                        continue
+                    except ReplicaTimeout as error:
+                        self._observe_latency(rid, started)
+                        self._record_failure(rid, breaker, "timeout")
+                        last_error = error
+                        failures += 1
+                        continue
+                    except TransientStorageError as error:
+                        self._observe_latency(rid, started)
+                        self._record_failure(rid, breaker, "transient")
+                        last_error = error
+                        failures += 1
+                        continue
+                    except StorageError as error:
+                        # Permanent storage failure on this replica — a
+                        # host that lost its disk (missing table, torn
+                        # page).  Fail over like any other replica
+                        # fault, and quarantine the whole table so
+                        # anti-entropy repair re-installs it from a
+                        # healthy peer rather than every future read
+                        # re-discovering the loss.
+                        self._observe_latency(rid, started)
+                        self._record_failure(rid, breaker, "storage-error")
+                        self.quarantine.record(
+                            rid, table, None, f"storage-error:{type(error).__name__}"
+                        )
+                        last_error = error
+                        failures += 1
+                        continue
+                    self._observe_latency(rid, started)
+                    self.last_read_failovers = failures
+                    if answer is None:
+                        return None
+                    breaker.record_success()
+                    if last_resort:
+                        telemetry.counter(
+                            "concealer_replica_last_resort_reads_total",
+                            "verified reads served by a quarantined or "
+                            "breaker-open replica after the eligible "
+                            "pool was exhausted",
+                            secrecy=telemetry.PUBLIC_SIZE,
+                        ).inc()
+                    return answer
+            self.last_read_failovers = failures
+            if violations and violations == failures and last_error is not None:
+                # Every replica that answered answered with tampered
+                # data — surface the integrity violation itself so the
+                # service quarantines the cell and refuses to guess.
+                raise last_error
+            raise NoHealthyReplica(
+                f"no replica could serve {table!r} "
+                f"({len(candidates)} candidates, {failures} failed, "
+                f"{len(self.replicas) - len(candidates)} quarantined/skipped)"
+            ) from last_error
 
     def _fanout(self, op: str, table: str, apply: Callable) -> object:
         """Apply a write/DDL to every replica; quarantine divergence.

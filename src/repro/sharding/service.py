@@ -41,6 +41,7 @@ from pathlib import Path
 from repro import telemetry
 from repro.core.provider import DataProvider
 from repro.core.queries import Aggregate, PointQuery, QueryStats, RangeQuery
+from repro.core.range_query import RangeExecutor
 from repro.core.service import RANGE_METHODS, ServiceConfig, ServiceProvider
 from repro.enclave.enclave import Enclave, EnclaveConfig
 from repro.exceptions import (
@@ -565,7 +566,8 @@ class ShardedService:
         Participants are the shards owning any covered cell-id, in
         ascending shard id.  Raises a typed :class:`QueryError` for
         aggregates that cannot be merged across a multi-shard
-        participant set.
+        participant set, and for ``method="tree"`` on a query the tree
+        path cannot serve.
         """
         if method not in RANGE_METHODS:
             raise QueryError(
@@ -578,6 +580,12 @@ class ShardedService:
                 else self._epoch_of(query.time_start)
             )
             context = self._plan_context(eid)
+            if method == "tree":
+                # Reject a caller's shape error here: raised inside a
+                # shard's dispatch it would count as a breaker strike.
+                RangeExecutor.check_tree_shape(
+                    query, context.schema, self.config.oblivious
+                )
             cells: set[int] = set()
             for combo in query.candidate_combinations():
                 cells.update(

@@ -278,10 +278,6 @@ class StorageEngine:
             packed.bin_index: packed for packed in packed_bins
         }
 
-    def has_packed_bins(self, table: str) -> bool:
-        """Whether a columnar sidecar is installed for this table."""
-        return self._table(table).packed_bins is not None
-
     def fetch_packed_bin(self, table: str, bin_index: int):
         """Read one whole bin in columnar form; ``None`` means fall back.
 
@@ -327,10 +323,6 @@ class StorageEngine:
         back to the bin path when it is absent.
         """
         self._table(table).agg_tree = tree
-
-    def has_agg_tree(self, table: str) -> bool:
-        """Whether an aggregate-tree sidecar is installed for this table."""
-        return self._table(table).agg_tree is not None
 
     def fetch_agg_tree_meta(self, table: str):
         """The tree's public shape + sealed directory; ``None`` = no tree.

@@ -3,13 +3,16 @@
 Failover, verify-then-failover quarantine, circuit breakers, deadline
 budgets, hedged ordering, degraded-mode flagging, write-divergence
 handling, and admission control — all on raw engines with small
-adversarial wrappers, no full query stack.
+adversarial wrappers, no full query stack.  The read-path contract is
+pinned for all three replicated reads: rows, packed bins, tree nodes.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro import telemetry
+from repro.core.packed import PackedBin
 from repro.exceptions import (
     DeadlineExceeded,
     IntegrityViolation,
@@ -32,57 +35,84 @@ from repro.storage.engine import StorageEngine
 from repro.storage.table import Row
 
 TABLE = "t"
-POISON = b"TAMPERED"
+POISON = b"TAMPERED!"  # as wide as a payload, so a packed bin can carry it
+# Tree-node coordinates the sidecar read asks for: (entity, level, index).
+COORDS = [(0, 0, 1), (0, 1, 0)]
 
 
-class FlakyReplica:
+class NodeTable:
+    """A stand-in aggregate-tree sidecar: one opaque blob per node."""
+
+    def node_at(self, entity, level, index):
+        return b"node-%d-%d-%d" % (entity, level, index)
+
+
+class ReadInterceptor:
+    """A replica whose three read responses pass through :meth:`answer`.
+
+    Rows, packed bins and tree nodes are all intercepted, so every
+    replicated read path sees the same adversary.
+    """
+
+    def __init__(self, inner=None):
+        self.inner = inner or StorageEngine()
+
+    def lookup_many(self, table, column, keys):
+        return self.answer(self.inner.lookup_many, table, column, keys)
+
+    def fetch_packed_bin(self, table, bin_index):
+        return self.answer(self.inner.fetch_packed_bin, table, bin_index)
+
+    def fetch_tree_nodes(self, table, coords):
+        return self.answer(self.inner.fetch_tree_nodes, table, coords)
+
+    def answer(self, read, *args):
+        return read(*args)
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+
+class FlakyReplica(ReadInterceptor):
     """Reads fail transiently while ``fail_reads`` is positive."""
 
     def __init__(self, inner=None):
-        self.inner = inner or StorageEngine()
+        super().__init__(inner)
         self.fail_reads = 0
 
-    def lookup_many(self, table, column, keys):
+    def answer(self, read, *args):
         if self.fail_reads:
             self.fail_reads -= 1
             raise TransientStorageError("injected transient read fault")
-        return self.inner.lookup_many(table, column, keys)
-
-    def __getattr__(self, name):
-        return getattr(self.inner, name)
+        return read(*args)
 
 
-class LyingReplica:
-    """Serves rows whose payload column was replaced wholesale."""
+class LyingReplica(ReadInterceptor):
+    """Serves answers carrying the POISON payload."""
 
-    def __init__(self, inner=None):
-        self.inner = inner or StorageEngine()
-
-    def lookup_many(self, table, column, keys):
-        rows = self.inner.lookup_many(table, column, keys)
+    def answer(self, read, *args):
+        answer = read(*args)
+        if isinstance(answer, PackedBin):
+            return answer.with_corrupted_cell(0, 0, lambda cell: POISON)
         return [
             Row(row_id=r.row_id, columns=(POISON,) + tuple(r.columns[1:]))
-            for r in rows
+            if isinstance(r, Row)
+            else POISON
+            for r in answer
         ]
 
-    def __getattr__(self, name):
-        return getattr(self.inner, name)
 
-
-class SlowReplica:
+class SlowReplica(ReadInterceptor):
     """Stalls the injectable clock before answering."""
 
     def __init__(self, clock, stall=5.0, inner=None):
-        self.inner = inner or StorageEngine()
+        super().__init__(inner)
         self.clock = clock
         self.stall = stall
 
-    def lookup_many(self, table, column, keys):
+    def answer(self, read, *args):
         self.clock.sleep(self.stall)
-        return self.inner.lookup_many(table, column, keys)
-
-    def __getattr__(self, name):
-        return getattr(self.inner, name)
+        return read(*args)
 
 
 class DivergentWriteReplica:
@@ -102,23 +132,38 @@ class DivergentWriteReplica:
         return getattr(self.inner, name)
 
 
-def reject_poison(rows):
-    """Stand-in for the enclave's hash-chain check."""
-    for row in rows:
-        if row.columns[0] == POISON:
-            raise IntegrityViolation(
-                "poisoned payload", cell_id=7, table=TABLE
-            )
+def payloads(answer):
+    """The payload bytes of a rows, packed-bin or tree-node answer."""
+    if isinstance(answer, PackedBin):
+        width = answer.column_widths[0]
+        blob = answer.columns[0]
+        return [
+            blob[i * width : (i + 1) * width] for i in range(answer.row_count)
+        ]
+    return [item.columns[0] if isinstance(item, Row) else item for item in answer]
+
+
+def reject_poison(answer):
+    """Stand-in for the enclave's hash-chain / node-MAC check."""
+    if POISON in payloads(answer):
+        raise IntegrityViolation("poisoned payload", cell_id=7, table=TABLE)
 
 
 def build(replicas, policy=None, clock=None, rows=4):
-    """A replicated engine over ``replicas`` with one indexed table."""
+    """A replicated engine over ``replicas`` with one indexed table.
+
+    The table also carries both sidecars: every row packed as bin 0,
+    and a :class:`NodeTable` aggregate tree.
+    """
     clock = clock or VirtualClock()
     engine = ReplicatedStorageEngine(list(replicas), clock=clock, policy=policy)
     engine.create_table(TABLE, ["payload", "k"])
     engine.create_index(TABLE, "k")
     for i in range(rows):
         engine.insert(TABLE, [b"payload-%d" % i, b"k%d" % i])
+    packed = PackedBin.pack(0, engine.snapshot_rows(TABLE))
+    engine.store_packed_bins(TABLE, [packed])
+    engine.store_agg_tree(TABLE, NodeTable())
     return engine, clock
 
 
@@ -209,6 +254,140 @@ class TestReadFailover:
         # NoHealthyReplica is the one replication error the service's
         # retry policy targets: backoff lets breakers reach half-open.
         assert isinstance(excinfo.value, TransientStorageError)
+
+
+READS = ("rows", "packed", "tree")
+# What each read answers from a healthy replica.
+HEALTHY = {
+    "rows": [b"payload-1"],
+    "packed": [b"payload-%d" % i for i in range(4)],
+    "tree": [NodeTable().node_at(*coord) for coord in COORDS],
+}
+# How the replication.lookup span sizes each read's request.
+SPAN_SIZE = {"rows": {"keys": 1}, "packed": {"bin": 0}, "tree": {"keys": len(COORDS)}}
+# Failure class of replica 0 -> the quarantine it leaves behind, as
+# (replica, table, cell-id): integrity faults quarantine the cell,
+# storage errors the whole table, transient faults and timeouts nothing.
+FAILOVERS = {
+    "transient": [],
+    "timeout": [],
+    "integrity": [(0, TABLE, 7)],
+    "storage-error": [(0, TABLE, None)],
+}
+
+each_read = pytest.mark.parametrize("kind", READS)
+each_sidecar = pytest.mark.parametrize("kind", ("packed", "tree"))
+
+
+def read(engine, kind, **kwargs):
+    """One replicated read of ``kind``: rows, a packed bin, or tree nodes."""
+    if kind == "rows":
+        return engine.lookup_many(TABLE, "k", [b"k1"], **kwargs)
+    if kind == "packed":
+        return engine.fetch_packed_bin(TABLE, 0, **kwargs)
+    return engine.fetch_tree_nodes(TABLE, COORDS, **kwargs)
+
+
+class TestEveryReadPath:
+    """Rows, packed bins and tree nodes share one verify-then-failover
+    contract; each behaviour is pinned for all three reads."""
+
+    @each_read
+    @pytest.mark.parametrize("fault", sorted(FAILOVERS))
+    def test_failover_reason_and_quarantine_scope(self, kind, fault):
+        clock = VirtualClock()
+        first = {
+            "transient": FlakyReplica,
+            "timeout": lambda: SlowReplica(clock),
+            "integrity": LyingReplica,
+            "storage-error": StorageEngine,
+        }[fault]()
+        engine, _ = build([first, StorageEngine()], clock=clock)
+        if fault == "transient":
+            first.fail_reads = 1
+        if fault == "storage-error":
+            first.drop_table(TABLE)  # a host that lost its disk
+        with telemetry.scoped_registry() as registry:
+            answer = read(engine, kind, verifier=reject_poison, cells=[7])
+        assert payloads(answer) == HEALTHY[kind]
+        assert engine.last_read_failovers == 1
+        failovers = "concealer_replica_failovers_total"
+        assert registry.value(failovers, reason=fault) == 1
+        assert registry.total(failovers) == 1
+        assert [
+            (entry.replica_id, entry.table, entry.cell_id)
+            for entry in engine.quarantine.entries
+        ] == FAILOVERS[fault]
+
+    @each_read
+    def test_quarantined_replica_serves_a_verified_last_resort(self, kind):
+        engine, _ = build([StorageEngine(), LyingReplica()])
+        engine.quarantine.record(0, TABLE, None, "test")
+        with telemetry.scoped_registry() as registry:
+            answer = read(engine, kind, verifier=reject_poison)
+        assert payloads(answer) == HEALTHY[kind]
+        assert engine.last_read_failovers == 1
+        assert registry.value("concealer_replica_last_resort_reads_total") == 1
+
+    @each_read
+    @pytest.mark.parametrize("fault", ["transient", "integrity"])
+    def test_exhaustion_raises_for_rows_and_falls_back_for_sidecars(
+        self, kind, fault
+    ):
+        if fault == "transient":
+            replicas = [FlakyReplica(), FlakyReplica()]
+            for replica in replicas:
+                replica.fail_reads = 99
+            error = NoHealthyReplica
+        else:
+            replicas = [LyingReplica(), LyingReplica()]
+            error = IntegrityViolation
+        engine, _ = build(replicas)
+        if kind == "rows":
+            with pytest.raises(error):
+                read(engine, kind, verifier=reject_poison)
+        else:
+            # The caller falls back to the row path, which raises the
+            # authoritative error.
+            assert read(engine, kind, verifier=reject_poison) is None
+        assert engine.last_read_failovers == 2
+
+    @each_sidecar
+    def test_missing_sidecar_answers_none_without_a_breaker_strike(self, kind):
+        flaky = FlakyReplica()
+        engine, _ = build(
+            [flaky, StorageEngine()],
+            policy=ReplicationPolicy(breaker=BreakerConfig(failure_threshold=1)),
+        )
+        # Rewriting a row in place discards replica 1's sidecars only.
+        row = engine.replicas[1].snapshot_rows(TABLE)[0]
+        engine.replicas[1].overwrite(TABLE, row.row_id, row.columns)
+        flaky.fail_reads = 1
+        assert read(engine, kind, verifier=reject_poison) is None
+        assert engine.last_read_failovers == 1
+        assert engine.breakers[0].state == "open"  # the fault struck
+        assert engine.breakers[1].state == "closed"  # the None did not
+
+    @each_read
+    def test_expired_deadline_stops_before_any_attempt(self, kind):
+        engine, clock = build([StorageEngine()])
+        deadline = Deadline.after(clock, 1.0)
+        clock.sleep(2.0)
+        with pytest.raises(DeadlineExceeded):
+            read(engine, kind, deadline=deadline)
+
+    @each_read
+    def test_lookup_span_attributes(self, kind):
+        engine, clock = build([StorageEngine(), StorageEngine()])
+        with telemetry.scoped_tracer(clock=clock) as tracer:
+            read(engine, kind)
+        (root,) = tracer.traces()
+        assert root.name == "replication.lookup"
+        assert root.attributes == {
+            "table": TABLE,
+            "candidates": 2,
+            **SPAN_SIZE[kind],
+        }
 
 
 class TestCircuitBreakers:
