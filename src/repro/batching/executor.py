@@ -26,21 +26,6 @@ from concurrent.futures import ThreadPoolExecutor
 from repro.core.queries import QueryStats
 
 
-def merge_stats(into: QueryStats, source: QueryStats) -> QueryStats:
-    """Fold one fetch's accounting into a batch-level aggregate."""
-    into.trapdoors_generated += source.trapdoors_generated
-    into.rows_fetched += source.rows_fetched
-    into.rows_matched += source.rows_matched
-    into.rows_decrypted += source.rows_decrypted
-    into.cache_hits += source.cache_hits
-    into.cache_misses += source.cache_misses
-    into.rows_from_cache += source.rows_from_cache
-    into.failovers += source.failovers
-    into.degraded = into.degraded or source.degraded
-    into.verified = into.verified or source.verified
-    return into
-
-
 class ParallelFetchExecutor:
     """Runs a plan's fetch units over a bounded worker pool."""
 
@@ -87,24 +72,23 @@ class ParallelFetchExecutor:
         # Packed fetches are dominated by batched, GIL-bound kernel
         # crypto and a storage round-trip serialised by the engine lock,
         # so worker threads only add contention — run them inline.
-        packed = getattr(self.fetcher, "packed", False)
-        if packed or self.workers == 1 or len(units) == 1:
+        if self.fetcher.packed or self.workers == 1 or len(units) == 1:
             for context, fetch_bin in units:
-                rows, verified = self.fetcher.fetch_entry_any(
+                payload, verified = self.fetcher.fetch_entry(
                     context, fetch_bin, stats,
                     deadline=deadline, ensure_verified=True,
                 )
-                overlay.put((context.table_name, fetch_bin.index), rows, verified)
+                overlay.put((context.table_name, fetch_bin.index), payload, verified)
             return stats
 
         def fetch_one(unit):
             context, fetch_bin = unit
             local = QueryStats()
-            rows, verified = self.fetcher.fetch_entry_any(
+            payload, verified = self.fetcher.fetch_entry(
                 context, fetch_bin, local,
                 deadline=deadline, ensure_verified=True,
             )
-            return rows, verified, local
+            return payload, verified, local
 
         outcomes: list = [None] * len(units)
         pool = self._ensure_pool()
@@ -117,8 +101,9 @@ class ParallelFetchExecutor:
         for index, (ok, outcome) in enumerate(outcomes):
             if not ok:
                 raise outcome
-            rows, verified, local = outcome
+            payload, verified, local = outcome
             context, fetch_bin = units[index]
-            overlay.put((context.table_name, fetch_bin.index), rows, verified)
-            merge_stats(stats, local)
+            overlay.put((context.table_name, fetch_bin.index), payload, verified)
+            stats.add_volumes(local)
+            stats.verified = stats.verified or local.verified
         return stats

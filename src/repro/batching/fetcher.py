@@ -1,20 +1,22 @@
 """The shared whole-bin fetch path: overlay → cache → storage.
 
 Both the BPB point executor and the multipoint range executor retrieve
-*whole bins* (Theorem 4.1's fixed-size public retrieval unit).  The
-:class:`BinFetcher` centralises that retrieval so a bin fetched once
-can be reused — within a batch (the :class:`BatchOverlay`) and across
-requests (the :class:`~repro.batching.cache.BinCache`) — without any
-caller-visible change in answers.
+*whole bins* (Theorem 4.1's fixed-size public retrieval unit) through
+the :class:`BinFetcher`, so a bin fetched once can be reused — within a
+batch (the :class:`BatchOverlay`) and across requests (the
+:class:`~repro.batching.cache.BinCache`) — without any caller-visible
+change in answers.  A bin arrives as a
+:class:`~repro.core.packed.PackedBin` when the fetcher is packed and the
+engine holds a columnar sidecar for it, and as a tuple of rows
+otherwise; the executors' shared STEP 4 takes either.
 
 Verification invariant: whenever a fetched bin may be *reused* (an
 overlay or cache is active) and the service verifies, the bin's hash
 chains are checked **before** it becomes reusable.  A later consumer
-of the cached rows therefore never needs to re-verify, and a tampered
+of the cached bin therefore never needs to re-verify, and a tampered
 batch is rejected before it can poison the cache.  With neither
-overlay nor cache in play the fetcher reproduces the legacy executor
-behaviour byte for byte (end-of-query verification over the combined
-row set).
+overlay nor cache in play verification runs once, at the end of the
+query, over the combined rows.
 """
 
 from __future__ import annotations
@@ -33,18 +35,13 @@ def _bin_reuses():
     )
 
 
-def _is_packed(payload) -> bool:
-    """Duck-typed PackedBin check (avoids importing repro.core here)."""
-    return hasattr(payload, "row_count") and hasattr(payload, "unpack")
-
-
 class BatchOverlay:
-    """Per-batch map of already-fetched bins: (table, bin_index) → rows.
+    """Per-batch map of already-fetched bins: (table, bin_index) → bin.
 
-    Entries hold either a tuple of scalar rows or a packed bin (the
-    columnar path shares bins in packed form so reuse keeps the
-    vectorized STEP 4).  Lives only for one ``execute_batch`` call, so
-    it needs no fencing — a rewrite cannot interleave with the
+    Entries hold whatever the fetcher produced — a tuple of rows or a
+    packed bin (the columnar path shares bins in packed form so reuse
+    keeps the vectorized STEP 4).  Lives only for one ``execute_batch``
+    call, so it needs no fencing — a rewrite cannot interleave with the
     read-only batch that owns it.  Thread-safe because the parallel
     prefetch fills it concurrently.
     """
@@ -57,8 +54,7 @@ class BatchOverlay:
         with self._lock:
             return self._entries.get(key)
 
-    def put(self, key: tuple[str, int], rows, verified: bool) -> None:
-        payload = rows if _is_packed(rows) else tuple(rows)
+    def put(self, key: tuple[str, int], payload, verified: bool) -> None:
         with self._lock:
             self._entries[key] = (payload, verified)
 
@@ -93,11 +89,11 @@ class _CachedTreeNode:
 class BinFetcher:
     """Fetches whole bins for the executors, sharing where it is sound.
 
-    ``cache`` is optional; without it (and without an overlay) this is
-    exactly the legacy per-query fetch.  Oblivious (§4.3) execution
-    bypasses both overlay and cache: Concealer+'s guarantee is an
-    *identical in-enclave event trace* for every query, and serving
-    from a cache would make the trace depend on the access history.
+    ``cache`` is optional; without it (and without an overlay) every
+    bin comes from storage.  Oblivious (§4.3) execution bypasses both
+    overlay and cache: Concealer+'s guarantee is an *identical
+    in-enclave event trace* for every query, and serving from a cache
+    would make the trace depend on the access history.
     """
 
     def __init__(self, engine, oblivious=False, verify=False, cache=None, packed=True):
@@ -120,90 +116,30 @@ class BinFetcher:
 
     def fetch_bin(
         self, context, fetch_bin, stats: QueryStats, deadline=None, overlay=None
-    ) -> list:
-        """Retrieve one whole bin for an executor, reusing where possible."""
-        key = (context.table_name, fetch_bin.index)
-        if overlay is not None:
-            shared = overlay.get(key)
-            if shared is not None:
-                rows, verified = shared
-                self._count_reuse(stats, rows, verified)
-                # A packed entry unpacks bit-identically for scalar
-                # consumers (the compat shim).
-                return rows.unpack() if _is_packed(rows) else list(rows)
-        reusable = overlay is not None or self._cache_active()
-        rows, verified = self.fetch_bin_entry(
-            context, fetch_bin, stats, deadline=deadline, ensure_verified=reusable
-        )
-        if overlay is not None:
-            overlay.put(key, rows, verified)
-        return list(rows)
-
-    def fetch_bin_any(
-        self, context, fetch_bin, stats: QueryStats, deadline=None, overlay=None
     ):
-        """Like :meth:`fetch_bin`, preferring the packed representation.
-
-        Returns a :class:`~repro.core.packed.PackedBin` when the engine
-        holds one for this table, otherwise a scalar row list — the
-        caller dispatches STEP 4 on the returned kind.
-        """
-        if not self.packed:
-            return self.fetch_bin(
-                context, fetch_bin, stats, deadline=deadline, overlay=overlay
-            )
+        """Retrieve one whole bin for an executor: overlay, then cache,
+        then storage.  Returns a packed bin or a tuple of rows."""
         key = (context.table_name, fetch_bin.index)
         if overlay is not None:
             shared = overlay.get(key)
             if shared is not None:
                 payload, verified = shared
-                self._count_reuse(stats, payload, verified)
-                return payload if _is_packed(payload) else list(payload)
-        reusable = overlay is not None or self._cache_active()
-        payload, verified = self.fetch_entry_any(
-            context, fetch_bin, stats, deadline=deadline, ensure_verified=reusable
+                _bin_reuses().inc()
+                self._count_hit(stats, payload, verified)
+                return payload
+        payload, verified = self.fetch_entry(
+            context, fetch_bin, stats, deadline=deadline,
+            ensure_verified=overlay is not None or self._cache_active(),
         )
         if overlay is not None:
             overlay.put(key, payload, verified)
-        return payload if _is_packed(payload) else list(payload)
+        return payload
 
-    def fetch_bin_entry(
-        self, context, fetch_bin, stats: QueryStats, deadline=None,
-        ensure_verified=False,
-    ) -> tuple[tuple, bool]:
-        """Cache-then-storage retrieval; returns ``(rows, verified)``."""
-        if self._cache_active():
-            entry = self.cache.lookup(
-                context.table_name, fetch_bin.index, require_verified=self.verify
-            )
-            if entry is not None:
-                self._count_hit(stats, entry.rows, entry.verified)
-                if _is_packed(entry.rows):
-                    return tuple(entry.rows.unpack()), entry.verified
-                return entry.rows, entry.verified
-            stats.cache_misses += 1
-        rows, verified = self._fetch_from_storage(
-            context, fetch_bin, stats, deadline=deadline,
-            ensure_verified=ensure_verified,
-        )
-        return tuple(rows), verified
-
-    def fetch_entry_any(
+    def fetch_entry(
         self, context, fetch_bin, stats: QueryStats, deadline=None,
         ensure_verified=False,
     ) -> tuple[object, bool]:
-        """Packed-preferring cache-then-storage retrieval.
-
-        Returns ``(payload, verified)`` where payload is a packed bin
-        when available, else a scalar row tuple (the engine had no
-        packed sidecar — post-insert, post-repair — or no replica could
-        serve it).
-        """
-        if not self.packed:
-            return self.fetch_bin_entry(
-                context, fetch_bin, stats, deadline=deadline,
-                ensure_verified=ensure_verified,
-            )
+        """Cache-then-storage retrieval; returns ``(payload, verified)``."""
         if self._cache_active():
             entry = self.cache.lookup(
                 context.table_name, fetch_bin.index, require_verified=self.verify
@@ -212,17 +148,10 @@ class BinFetcher:
                 self._count_hit(stats, entry.rows, entry.verified)
                 return entry.rows, entry.verified
             stats.cache_misses += 1
-        packed, verified = self._fetch_packed_from_storage(
+        return self._fetch_from_storage(
             context, fetch_bin, stats, deadline=deadline,
             ensure_verified=ensure_verified,
         )
-        if packed is not None:
-            return packed, verified
-        rows, verified = self._fetch_from_storage(
-            context, fetch_bin, stats, deadline=deadline,
-            ensure_verified=ensure_verified,
-        )
-        return tuple(rows), verified
 
     def fetch_tree_nodes(
         self, context, meta, coords, stats: QueryStats, deadline=None
@@ -240,38 +169,34 @@ class BinFetcher:
         via E_d decryption plus the position header — so reuse can
         never serve a byte no check will cover.
         """
-        if not self._cache_active():
-            with self._engine_lock:
-                return context.fetch_tree_nodes(
-                    self.engine, meta, coords, stats,
-                    deadline=deadline, verify=self.verify,
-                )
         table = context.table_name
         nodes: list = [None] * len(coords)
-        missing: list[int] = []
-        for position, coord in enumerate(coords):
-            entry = self.cache.lookup(table, ("tree",) + tuple(coord))
-            if entry is None:
-                stats.cache_misses += 1
-                missing.append(position)
-            else:
-                self._count_hit(stats, entry.rows, entry.verified)
-                nodes[position] = entry.rows.node
-        if missing:
-            # Fence stamp before the read, exactly like bins: nodes
-            # racing a rewrite must not be cached under the post-rewrite
-            # generation.
-            generation = getattr(self.engine, "rewrite_generation", 0)
-            fetch_coords = [coords[i] for i in missing]
-            with self._engine_lock:
-                fetched = context.fetch_tree_nodes(
-                    self.engine, meta, fetch_coords, stats,
-                    deadline=deadline, verify=self.verify,
-                )
-            if fetched is None:
-                return None
-            for position, node in zip(missing, fetched):
-                nodes[position] = node
+        missing = list(range(len(coords)))
+        if self._cache_active():
+            missing = []
+            for position, coord in enumerate(coords):
+                entry = self.cache.lookup(table, ("tree",) + tuple(coord))
+                if entry is None:
+                    stats.cache_misses += 1
+                    missing.append(position)
+                else:
+                    self._count_hit(stats, entry.rows, entry.verified)
+                    nodes[position] = entry.rows.node
+        if not missing:
+            return nodes
+        # Fence stamp before the read, exactly like bins: nodes racing
+        # a rewrite must not be cached under the post-rewrite generation.
+        generation = getattr(self.engine, "rewrite_generation", 0)
+        with self._engine_lock:
+            fetched = context.fetch_tree_nodes(
+                self.engine, meta, [coords[i] for i in missing], stats,
+                deadline=deadline, verify=self.verify,
+            )
+        if fetched is None:
+            return None
+        for position, node in zip(missing, fetched):
+            nodes[position] = node
+            if self._cache_active():
                 self.cache.insert(
                     table,
                     ("tree",) + tuple(coords[position]),
@@ -286,86 +211,64 @@ class BinFetcher:
     def _fetch_from_storage(
         self, context, fetch_bin, stats: QueryStats, deadline=None,
         ensure_verified=False,
-    ) -> tuple[list, bool]:
+    ) -> tuple[object, bool]:
+        """One whole-bin storage read: the packed sidecar when this
+        fetcher is packed and the engine serves one, else the trapdoor
+        row fetch (which is authoritative for errors)."""
         engine = self.engine
-        # Fence stamp *before* the read: rows racing a rewrite must not
+        # Fence stamp *before* the read: bins racing a rewrite must not
         # be cached under the post-rewrite generation.
         generation = getattr(engine, "rewrite_generation", 0)
-        replicated = getattr(engine, "supports_replicated_reads", False)
-        verifier = context.verify_rows if (self.verify and replicated) else None
-        if self.oblivious:
-            trapdoors = context.oblivious_trapdoors_for_bin(fetch_bin)
-        else:
-            trapdoors = context.trapdoors_for_bin(fetch_bin)
-        with self._engine_lock:
-            rows = context.fetch(
-                engine,
-                trapdoors,
-                stats,
-                deadline=deadline,
-                verifier=verifier,
-                cells=fetch_bin.cell_ids,
-            )
-        verified = verifier is not None
+        # Against a replicated engine verification moves *into* the
+        # read: each replica's answer is checked before acceptance.
+        verified = self.verify and getattr(engine, "supports_replicated_reads", False)
+        payload = None
+        if self.packed:
+            verifier = None
+            if verified:
+                verifier = lambda packed, cells: context.verify_packed([packed], cells)
+            with self._engine_lock:
+                payload = context.fetch_packed(
+                    engine, fetch_bin, stats, deadline=deadline, verifier=verifier
+                )
+        if payload is None:
+            if self.oblivious:
+                trapdoors = context.oblivious_trapdoors_for_bin(fetch_bin)
+            else:
+                trapdoors = context.trapdoors_for_bin(fetch_bin)
+            with self._engine_lock:
+                payload = tuple(
+                    context.fetch(
+                        engine,
+                        trapdoors,
+                        stats,
+                        deadline=deadline,
+                        verifier=context.verify_rows if verified else None,
+                        cells=fetch_bin.cell_ids,
+                    )
+                )
         if self.verify and ensure_verified and not verified:
             # The bin becomes reusable, so it must be checked *now*:
             # a later overlay/cache consumer will trust it as-is.
-            context.verify_rows(rows, fetch_bin.cell_ids)
+            if isinstance(payload, tuple):
+                context.verify_rows(payload, fetch_bin.cell_ids)
+            else:
+                context.verify_packed([payload], fetch_bin.cell_ids)
             verified = True
             stats.verified = True
         if self._cache_active():
             self.cache.insert(
-                context.table_name,
-                fetch_bin.index,
-                tuple(rows),
-                verified,
-                generation,
+                context.table_name, fetch_bin.index, payload, verified, generation
             )
-        return rows, verified
-
-    def _fetch_packed_from_storage(
-        self, context, fetch_bin, stats: QueryStats, deadline=None,
-        ensure_verified=False,
-    ) -> tuple[object, bool]:
-        """Whole-bin columnar storage fetch; ``(None, False)`` signals
-        the scalar path is needed (no packed sidecar)."""
-        engine = self.engine
-        generation = getattr(engine, "rewrite_generation", 0)
-        replicated = getattr(engine, "supports_replicated_reads", False)
-        verifier = None
-        if self.verify and replicated:
-            verifier = lambda packed, cells: context.verify_packed([packed], cells)
-        with self._engine_lock:
-            packed = context.fetch_packed(
-                engine, fetch_bin, stats, deadline=deadline, verifier=verifier
-            )
-        if packed is None:
-            return None, False
-        verified = verifier is not None
-        if self.verify and ensure_verified and not verified:
-            context.verify_packed([packed], fetch_bin.cell_ids)
-            verified = True
-            stats.verified = True
-        if self._cache_active():
-            self.cache.insert(
-                context.table_name, fetch_bin.index, packed, verified, generation
-            )
-        return packed, verified
+        return payload, verified
 
     # ------------------------------------------------------------ accounting
 
     def _cache_active(self) -> bool:
         return self.cache is not None and not self.oblivious
 
-    def _count_hit(self, stats: QueryStats, rows, verified: bool) -> None:
+    def _count_hit(self, stats: QueryStats, payload, verified: bool) -> None:
         stats.cache_hits += 1
-        stats.rows_from_cache += len(rows)
-        if self.verify and verified:
-            stats.verified = True
-
-    def _count_reuse(self, stats: QueryStats, rows, verified: bool) -> None:
-        _bin_reuses().inc()
-        stats.cache_hits += 1
-        stats.rows_from_cache += len(rows)
+        stats.rows_from_cache += len(payload)
         if self.verify and verified:
             stats.verified = True

@@ -325,6 +325,35 @@ class EpochContext:
 
     # ------------------------------------------------------------------ fetch
 
+    def _storage_read(
+        self, engine, read, stats: QueryStats, epc_bytes: int, deadline=None,
+        check=None, cells=None, **span,
+    ):
+        """The one storage round-trip under every enclave fetch.
+
+        ``read`` is the engine call; against a replicated engine
+        (``supports_replicated_reads``) it also receives the request-
+        bound ``check`` and the ``deadline``, so every replica attempt is
+        verified *before* acceptance and failover happens at whole-unit
+        granularity.  The unit transits the EPC whole, so ``epc_bytes``
+        is reserved while pulling: oversized units feel the budget here
+        rather than succeeding silently.  A ``None`` payload (no sidecar)
+        leaves ``stats`` untouched for the fallback path to account.
+        """
+        with telemetry.span("enclave.fetch", epoch=self.epoch_id, **span):
+            self.enclave.kill_point("enclave.kill.query")
+            if deadline is not None:
+                deadline.check("enclave.fetch")
+            with self.enclave.memory(epc_bytes):
+                if not getattr(engine, "supports_replicated_reads", False):
+                    return read()
+                payload = read(verifier=check, deadline=deadline, cells=cells)
+                if payload is not None:
+                    stats.failovers += engine.last_read_failovers
+                    stats.degraded = stats.degraded or engine.degraded
+                    stats.verified = stats.verified or check is not None
+                return payload
+
     def fetch(
         self,
         engine: StorageEngine,
@@ -336,53 +365,31 @@ class EpochContext:
     ) -> list[Row]:
         """Submit trapdoors to the DBMS and pull the rows.
 
-        Against a replicated engine (``supports_replicated_reads``),
-        the enclave hands its ``verifier`` and the bin's cell-ids down
-        so every replica attempt is verified *before* acceptance and
-        failover happens at bin granularity; ``deadline`` gates the
-        fetch here and every replica attempt below.
+        ``verifier`` (``verify_rows``) is bound to ``cells`` when both
+        are given: a replica substituting a different (valid) batch must
+        fail verification, not just a different chain.
         """
-        with telemetry.span(
-            "enclave.fetch",
+        check = verifier
+        if verifier is not None and cells is not None:
+            expected = list(cells)
+            check = lambda batch: verifier(batch, expected)
+        keys = list(trapdoors)
+        rows = self._storage_read(
+            engine,
+            lambda **replicated: engine.lookup_many(
+                self.table_name, "index_key", keys, **replicated
+            ),
+            stats,
+            256 * len(keys),
+            deadline=deadline,
+            check=check,
+            cells=cells,
             stage="fetch",
-            epoch=self.epoch_id,
-            trapdoors=len(trapdoors),
-        ):
-            self.enclave.kill_point("enclave.kill.query")
-            if deadline is not None:
-                deadline.check("enclave.fetch")
-            stats.trapdoors_generated += len(trapdoors)
-            # The fetched batch transits the EPC (one row per trapdoor,
-            # ~256 B of ciphertext each); reserve while pulling so oversized
-            # bins feel the budget here rather than succeeding silently.
-            with self.enclave.memory(256 * len(trapdoors)):
-                if getattr(engine, "supports_replicated_reads", False):
-                    # Bind the verifier to the requested cells: a replica
-                    # substituting a different (valid) batch must fail
-                    # verification, not just a different chain.
-                    if verifier is not None and cells is not None:
-                        expected = list(cells)
-                        check = lambda batch: verifier(batch, expected)
-                    else:
-                        check = verifier
-                    rows = engine.lookup_many(
-                        self.table_name,
-                        "index_key",
-                        list(trapdoors),
-                        verifier=check,
-                        deadline=deadline,
-                        cells=cells,
-                    )
-                    stats.failovers += engine.last_read_failovers
-                    stats.degraded = stats.degraded or engine.degraded
-                    if verifier is not None:
-                        stats.verified = True
-                else:
-                    rows = engine.lookup_many(
-                        self.table_name, "index_key", list(trapdoors)
-                    )
-            stats.rows_fetched += len(rows)
-            return rows
+            trapdoors=len(keys),
+        )
+        stats.trapdoors_generated += len(keys)
+        stats.rows_fetched += len(rows)
+        return rows
 
     def fetch_packed(
         self,
@@ -398,54 +405,32 @@ class EpochContext:
         ``None`` when no packed sidecar serves this bin (after a dynamic
         insert, a repair, or an exhausted replica group) — the caller
         then falls back to the scalar trapdoor fetch, which is
-        authoritative for errors.
-
-        ``verifier`` takes ``(packed, expected_cells)``; against a
-        replicated engine it is bound to the bin's cell-ids and run on
-        every replica attempt before acceptance, exactly like the
-        scalar path's row verifier.
+        authoritative for errors.  ``verifier`` takes
+        ``(packed, expected_cells)`` and is bound to the bin's cell-ids.
         """
-        with telemetry.span(
-            "enclave.fetch",
+        check = None
+        if verifier is not None:
+            expected = list(chosen.cell_ids)
+            check = lambda packed: verifier(packed, expected)
+        packed = self._storage_read(
+            engine,
+            lambda **replicated: engine.fetch_packed_bin(
+                self.table_name, chosen.index, **replicated
+            ),
+            stats,
+            256 * chosen.total_tuples,
+            deadline=deadline,
+            check=check,
+            cells=chosen.cell_ids,
             stage="fetch",
-            epoch=self.epoch_id,
             trapdoors=chosen.total_tuples,
-        ):
-            self.enclave.kill_point("enclave.kill.query")
-            if deadline is not None:
-                deadline.check("enclave.fetch")
-            # Same EPC charge as the scalar fetch: the bin transits the
-            # enclave whole either way.
-            with self.enclave.memory(256 * chosen.total_tuples):
-                if getattr(engine, "supports_replicated_reads", False):
-                    check = None
-                    if verifier is not None:
-                        expected = list(chosen.cell_ids)
-                        check = lambda packed: verifier(packed, expected)
-                    packed = engine.fetch_packed_bin(
-                        self.table_name,
-                        chosen.index,
-                        verifier=check,
-                        deadline=deadline,
-                        cells=chosen.cell_ids,
-                    )
-                    if packed is None:
-                        return None
-                    stats.failovers += engine.last_read_failovers
-                    stats.degraded = stats.degraded or engine.degraded
-                    if verifier is not None:
-                        stats.verified = True
-                else:
-                    packed = engine.fetch_packed_bin(self.table_name, chosen.index)
-                    if packed is None:
-                        return None
-            # Stats move only once the fetch is known to have gone the
-            # packed way — a None fallback must leave them untouched for
-            # the scalar path to account.
-            stats.trapdoors_generated += chosen.total_tuples
-            _count_tuples(chosen.real_tuples, chosen.fake_count)
-            stats.rows_fetched += packed.row_count
-            return packed
+        )
+        if packed is None:
+            return None
+        stats.trapdoors_generated += chosen.total_tuples
+        _count_tuples(chosen.real_tuples, chosen.fake_count)
+        stats.rows_fetched += packed.row_count
+        return packed
 
     # -------------------------------------------------------- aggregate tree
 
@@ -518,47 +503,30 @@ class EpochContext:
     ):
         """Pull encrypted tree nodes by coordinate; ``None`` = fall back.
 
-        The replicated twin of :meth:`fetch_packed`: against a
-        replicated engine the node verifier (authenticated decode bound
-        to the requested coordinates) runs on every replica attempt
-        before acceptance, so a tampered replica costs a failover, not
-        the query.  Node count rides on the span and the stats — it is
-        a pure function of the public range decomposition.
+        With ``verify`` the node check (authenticated decode bound to
+        the requested coordinates) runs on every replica attempt before
+        acceptance, so a tampered replica costs a failover, not the
+        query.  Node count rides on the span and the stats — it is a
+        pure function of the public range decomposition.
         """
-        with telemetry.span(
-            "enclave.fetch",
+        check = None
+        if verify:
+            check = lambda nodes: self.decode_tree_nodes(meta, coords, nodes)
+        nodes = self._storage_read(
+            engine,
+            lambda **replicated: engine.fetch_tree_nodes(
+                self.table_name, coords, **replicated
+            ),
+            stats,
+            meta.node_width * len(coords),
+            deadline=deadline,
+            check=check,
             stage="tree_fetch",
-            epoch=self.epoch_id,
             nodes=len(coords),
-        ):
-            self.enclave.kill_point("enclave.kill.query")
-            if deadline is not None:
-                deadline.check("enclave.fetch")
-            with self.enclave.memory(meta.node_width * len(coords)):
-                if getattr(engine, "supports_replicated_reads", False):
-                    check = None
-                    if verify:
-                        check = lambda nodes: self.decode_tree_nodes(
-                            meta, coords, nodes
-                        )
-                    nodes = engine.fetch_tree_nodes(
-                        self.table_name,
-                        coords,
-                        verifier=check,
-                        deadline=deadline,
-                    )
-                    if nodes is None:
-                        return None
-                    stats.failovers += engine.last_read_failovers
-                    stats.degraded = stats.degraded or engine.degraded
-                    if verify:
-                        stats.verified = True
-                else:
-                    nodes = engine.fetch_tree_nodes(self.table_name, coords)
-                    if nodes is None:
-                        return None
+        )
+        if nodes is not None:
             stats.rows_fetched += len(coords)
-            return nodes
+        return nodes
 
     def decode_tree_nodes(self, meta, coords, nodes):
         """Authenticate and decode fetched tree nodes.
@@ -570,29 +538,11 @@ class EpochContext:
         key) — raises a structured :class:`IntegrityViolation`; the
         tree path never returns silently wrong aggregates.
         """
-        verifications = telemetry.counter(
-            "concealer_hashchain_verifications_total",
-            "hash-chain verifications of fetched row batches, by outcome",
-            labels=("result",),
-        )
-        with telemetry.span(
-            "enclave.verify",
+        return self._checked(
+            lambda: self._decode_tree_nodes(meta, coords, nodes),
             stage="tree_verify",
-            epoch=self.epoch_id,
             nodes=len(coords),
-        ):
-            try:
-                decoded = self._decode_tree_nodes(meta, coords, nodes)
-            except IntegrityViolation as violation:
-                verifications.labels(result="violation").inc()
-                telemetry.counter(
-                    "concealer_integrity_violations_total",
-                    "structured integrity-verification failures, by kind",
-                    labels=("kind",),
-                ).labels(kind=violation.kind).inc()
-                raise
-            verifications.labels(result="ok").inc()
-            return decoded
+        )
 
     def _decode_tree_nodes(self, meta, coords, nodes):
         from repro.core.aggtree import decode_node
@@ -638,6 +588,32 @@ class EpochContext:
 
     # ----------------------------------------------------------- verification
 
+    def _checked(self, check, **span):
+        """Run one integrity check under the ``enclave.verify`` span.
+
+        Every check — row chains, packed chains, tree nodes — counts its
+        outcome in ``concealer_hashchain_verifications_total`` and each
+        structured violation by kind, then re-raises it.
+        """
+        verifications = telemetry.counter(
+            "concealer_hashchain_verifications_total",
+            "hash-chain verifications of fetched row batches, by outcome",
+            labels=("result",),
+        )
+        with telemetry.span("enclave.verify", epoch=self.epoch_id, **span):
+            try:
+                result = check()
+            except IntegrityViolation as violation:
+                verifications.labels(result="violation").inc()
+                telemetry.counter(
+                    "concealer_integrity_violations_total",
+                    "structured integrity-verification failures, by kind",
+                    labels=("kind",),
+                ).labels(kind=violation.kind).inc()
+                raise
+            verifications.labels(result="ok").inc()
+            return result
+
     def verify_rows(
         self, rows: Sequence[Row], expected_cells: Sequence[int] | None = None
     ) -> None:
@@ -657,45 +633,79 @@ class EpochContext:
         silently under-counting — per-cell chains prove each present
         cell is whole, not that the right cells are present.
         """
-        verifications = telemetry.counter(
-            "concealer_hashchain_verifications_total",
-            "hash-chain verifications of fetched row batches, by outcome",
-            labels=("result",),
-        )
         # Row count here is the *fetched* volume — public-size by the
         # volume-hiding argument — so it may ride on the span.
-        with telemetry.span(
-            "enclave.verify", stage="verify", epoch=self.epoch_id, rows=len(rows)
-        ):
-            try:
-                self._verify_rows(rows, expected_cells)
-            except IntegrityViolation as violation:
-                verifications.labels(result="violation").inc()
-                telemetry.counter(
-                    "concealer_integrity_violations_total",
-                    "structured integrity-verification failures, by kind",
-                    labels=("kind",),
-                ).labels(kind=violation.kind).inc()
-                raise
-            verifications.labels(result="ok").inc()
+        self._checked(
+            lambda: self._verify_chains(
+                rows,
+                [row[-1] for row in rows],
+                lambda row: row.row_id,
+                lambda batch, position: [row[position] for row in batch],
+                expected_cells,
+            ),
+            stage="verify",
+            rows=len(rows),
+        )
 
-    def _verify_rows(
-        self, rows: Sequence[Row], expected_cells: Sequence[int] | None = None
+    def verify_packed(
+        self,
+        packed_bins: Sequence,
+        expected_cells: Sequence[int] | None = None,
+        keep=None,
     ) -> None:
+        """Hash-chain verification of packed bins: :meth:`verify_rows`
+        over columnar cells, same counters, same violation taxonomy.
+
+        ``keep`` is an optional boolean mask over the concatenated rows
+        (range queries dedup *before* verifying, exactly like the row
+        path tolerates tamper-duplicates at that stage).
+        """
+        # One flat batch of (kept) index keys across all bins.  Cells
+        # are materialised by plain slicing, never through numpy element
+        # access (S-dtype strips trailing NULs from ciphertext bytes).
+        refs: list[tuple[object, int]] = []
+        index_keys: list[bytes] = []
+        offset = 0
+        for pb in packed_bins:
+            keys = pb.column_cells(len(pb.columns) - 1)
+            for j in range(pb.row_count):
+                if keep is None or keep[offset + j]:
+                    refs.append((pb, j))
+                    index_keys.append(keys[j])
+            offset += pb.row_count
+        self._checked(
+            lambda: self._verify_chains(
+                refs,
+                index_keys,
+                lambda ref: ref[0].row_ids[ref[1]],
+                lambda batch, position: [pb.cell(j, position) for pb, j in batch],
+                expected_cells,
+            ),
+            stage="verify",
+            rows=len(refs),
+        )
+
+    def _verify_chains(
+        self, refs, index_keys, row_id, cells, expected_cells=None
+    ) -> None:
+        """The hash-chain check over any row representation.
+
+        ``refs`` name the fetched rows and ``index_keys`` are their
+        index-key ciphertexts; ``row_id(ref)`` reads a row's id and
+        ``cells(refs, column)`` one stored column of several rows.
+        """
         from repro.core.schema import unpad_plaintext
 
         column_count = len(self.schema.filter_groups) + 1
-        per_cid: dict[int, list[tuple[int, Row]]] = {}
+        per_cid: dict[int, list[tuple[int, object]]] = {}
         # Index keys are decoded in one kernel batch (the count is the
         # public fetched volume); a None marks a row whose index key did
         # not authenticate — tampering, reported per offending row.
-        plaintexts = self.det_kernel.decrypt_many(
-            [row[-1] for row in rows], errors="none"
-        )
-        for row, plaintext in zip(rows, plaintexts):
+        plaintexts = self.det_kernel.decrypt_many(index_keys, errors="none")
+        for ref, plaintext in zip(refs, plaintexts):
             if plaintext is None:
                 raise IntegrityViolation(
-                    f"row {row.row_id}: index key fails decryption — the "
+                    f"row {row_id(ref)}: index key fails decryption — the "
                     "stored ciphertext was tampered with",
                     epoch_id=self.epoch_id,
                     table=self.table_name,
@@ -704,7 +714,7 @@ class EpochContext:
             parts = unpad_plaintext(plaintext).split(b"\x1f")
             if parts[0] != b"idx":
                 continue  # fake rows are not covered by per-cid tags
-            per_cid.setdefault(int(parts[1]), []).append((int(parts[2]), row))
+            per_cid.setdefault(int(parts[1]), []).append((int(parts[2]), ref))
 
         if expected_cells is not None:
             for cid in expected_cells:
@@ -734,138 +744,10 @@ class EpochContext:
             # Per-column chains fold in one kernel batch.  Uncounted:
             # the fold count is the *real*-row volume, which is exactly
             # what volume hiding keeps from the host.
+            ordered = [ref for _, ref in numbered]
             chains = batch_chain_extend(
                 [CHAIN_INIT] * column_count,
-                [
-                    [row[position] for _, row in numbered]
-                    for position in range(column_count)
-                ],
-                counted=False,
-            )
-            tag = self.package.enc_tags.get(cid)
-            if tag is None:
-                raise IntegrityViolation(
-                    f"cell {cid}: no verifiable tag shipped",
-                    epoch_id=self.epoch_id,
-                    cell_id=cid,
-                    table=self.table_name,
-                    kind="missing-tag",
-                )
-            for position, sealed in enumerate(tag):
-                expected = self.nd.decrypt(sealed)
-                if expected != chains[position]:
-                    raise IntegrityViolation(
-                        f"cell {cid}: column {position} hash chain mismatch",
-                        epoch_id=self.epoch_id,
-                        cell_id=cid,
-                        table=self.table_name,
-                        kind="chain-mismatch",
-                    )
-
-    def verify_packed(
-        self,
-        packed_bins: Sequence,
-        expected_cells: Sequence[int] | None = None,
-        keep=None,
-    ) -> None:
-        """Hash-chain verification of packed bins — the columnar twin of
-        :meth:`verify_rows`, same counters, same violation taxonomy.
-
-        ``keep`` is an optional boolean mask over the concatenated rows
-        (multipoint queries dedup *before* verifying, exactly like the
-        scalar path tolerates tamper-duplicates at that stage).
-        """
-        verifications = telemetry.counter(
-            "concealer_hashchain_verifications_total",
-            "hash-chain verifications of fetched row batches, by outcome",
-            labels=("result",),
-        )
-        total = sum(pb.row_count for pb in packed_bins)
-        rows = int(keep.sum()) if keep is not None else total
-        with telemetry.span(
-            "enclave.verify", stage="verify", epoch=self.epoch_id, rows=rows
-        ):
-            try:
-                self._verify_packed(packed_bins, expected_cells, keep)
-            except IntegrityViolation as violation:
-                verifications.labels(result="violation").inc()
-                telemetry.counter(
-                    "concealer_integrity_violations_total",
-                    "structured integrity-verification failures, by kind",
-                    labels=("kind",),
-                ).labels(kind=violation.kind).inc()
-                raise
-            verifications.labels(result="ok").inc()
-
-    def _verify_packed(
-        self,
-        packed_bins: Sequence,
-        expected_cells: Sequence[int] | None = None,
-        keep=None,
-    ) -> None:
-        from repro.core.schema import unpad_plaintext
-
-        column_count = len(self.schema.filter_groups) + 1
-        # One flat batch of (kept) index keys across all bins.  Cells
-        # are materialised by plain slicing, never through numpy element
-        # access (S-dtype strips trailing NULs from ciphertext bytes).
-        refs: list[tuple[object, int]] = []
-        index_keys: list[bytes] = []
-        offset = 0
-        for pb in packed_bins:
-            keys = pb.column_cells(len(pb.columns) - 1)
-            for j in range(pb.row_count):
-                if keep is None or keep[offset + j]:
-                    refs.append((pb, j))
-                    index_keys.append(keys[j])
-            offset += pb.row_count
-        plaintexts = self.det_kernel.decrypt_many(index_keys, errors="none")
-        per_cid: dict[int, list[tuple[int, object, int]]] = {}
-        for (pb, j), plaintext in zip(refs, plaintexts):
-            if plaintext is None:
-                raise IntegrityViolation(
-                    f"row {pb.row_ids[j]}: index key fails decryption — the "
-                    "stored ciphertext was tampered with",
-                    epoch_id=self.epoch_id,
-                    table=self.table_name,
-                    kind="undecryptable",
-                )
-            parts = unpad_plaintext(plaintext).split(b"\x1f")
-            if parts[0] != b"idx":
-                continue  # fake rows are not covered by per-cid tags
-            per_cid.setdefault(int(parts[1]), []).append((int(parts[2]), pb, j))
-
-        if expected_cells is not None:
-            for cid in expected_cells:
-                if self.c_tuple[cid] > 0 and cid not in per_cid:
-                    raise IntegrityViolation(
-                        f"cell {cid}: requested but absent from the response "
-                        "batch (a substituted or replayed answer)",
-                        epoch_id=self.epoch_id,
-                        cell_id=cid,
-                        table=self.table_name,
-                        kind="missing-cell",
-                    )
-
-        for cid, numbered in per_cid.items():
-            numbered.sort(key=lambda item: item[0])
-            counters = [c for c, _, _ in numbered]
-            if counters != list(range(1, self.c_tuple[cid] + 1)):
-                raise IntegrityViolation(
-                    f"cell {cid}: expected counters 1..{self.c_tuple[cid]}, "
-                    f"observed {counters[:5]}... (rows dropped, duplicated, "
-                    "or replayed)",
-                    epoch_id=self.epoch_id,
-                    cell_id=cid,
-                    table=self.table_name,
-                    kind="counter-gap",
-                )
-            chains = batch_chain_extend(
-                [CHAIN_INIT] * column_count,
-                [
-                    [pb.cell(j, position) for _, pb, j in numbered]
-                    for position in range(column_count)
-                ],
+                [cells(ordered, position) for position in range(column_count)],
                 counted=False,
             )
             tag = self.package.enc_tags.get(cid)
@@ -1021,13 +903,39 @@ class EpochContext:
 
     # ------------------------------------------------------------ decryption
 
-    def decrypt_record(self, row: Row) -> tuple:
-        """Decrypt one row's payload back into a record tuple."""
-        plaintext = self.det.decrypt(row[len(self.schema.filter_groups)])
-        return self.schema.decode_payload(plaintext)
-
     def decrypt_records(self, rows: Sequence[Row], stats: QueryStats) -> list[tuple]:
-        """Decrypt payloads (skipping any fake rows defensively).
+        """Decrypt payloads (skipping any fake rows defensively)."""
+        position = len(self.schema.filter_groups)
+        return self._decrypt_payloads([row[position] for row in rows], stats)
+
+    def decrypt_packed_records(
+        self, packed_bins: Sequence, mask, stats: QueryStats
+    ) -> list[tuple]:
+        """Decrypt the mask-selected payload cells of packed bins.
+
+        Row order is the concatenated bin order — identical to the
+        row path's fetched-row order, so answers stay byte-for-byte
+        comparable.
+        """
+        import numpy as np
+
+        position = len(self.schema.filter_groups)
+        selected = np.nonzero(mask)[0]
+        payloads: list[bytes] = []
+        offset = 0
+        for pb in packed_bins:
+            width = pb.column_widths[position]
+            blob = pb.columns[position]
+            end = offset + pb.row_count
+            local = selected[(selected >= offset) & (selected < end)] - offset
+            payloads.extend(blob[j * width : (j + 1) * width] for j in local.tolist())
+            offset = end
+        return self._decrypt_payloads(payloads, stats)
+
+    def _decrypt_payloads(
+        self, payloads: Sequence[bytes], stats: QueryStats
+    ) -> list[tuple]:
+        """Decrypt and decode payload cells into record tuples.
 
         Batched through the DET kernel with ``counted=False``: the
         number of matched-and-decrypted rows is data-dependent, so it
@@ -1037,9 +945,8 @@ class EpochContext:
         # volume (data-dependent).  The span itself is fine — every query
         # has exactly one decrypt stage, a public fact.
         with telemetry.span("enclave.decrypt", stage="decrypt", epoch=self.epoch_id):
-            position = len(self.schema.filter_groups)
             plaintexts = self.det_kernel.decrypt_many(
-                [row[position] for row in rows], errors="none", counted=False
+                payloads, errors="none", counted=False
             )
             records = [
                 self.schema.decode_payload(plaintext)
@@ -1048,41 +955,3 @@ class EpochContext:
             ]
             stats.rows_decrypted += len(records)
             return records
-
-    def decrypt_packed_records(
-        self, packed_bins: Sequence, mask, stats: QueryStats
-    ) -> list[tuple]:
-        """Decrypt the mask-selected payload cells of packed bins.
-
-        Row order is the concatenated bin order — identical to the
-        scalar path's fetched-row order, so answers stay byte-for-byte
-        comparable.  Same span/stats discipline as
-        :meth:`decrypt_records`.
-        """
-        with telemetry.span("enclave.decrypt", stage="decrypt", epoch=self.epoch_id):
-            import numpy as np
-
-            position = len(self.schema.filter_groups)
-            selected = np.nonzero(mask)[0]
-            payloads: list[bytes] = []
-            offset = 0
-            for pb in packed_bins:
-                width = pb.column_widths[position]
-                blob = pb.columns[position]
-                end = offset + pb.row_count
-                local = selected[(selected >= offset) & (selected < end)] - offset
-                payloads.extend(
-                    blob[j * width : (j + 1) * width] for j in local.tolist()
-                )
-                offset = end
-            plaintexts = self.det_kernel.decrypt_many(
-                payloads, errors="none", counted=False
-            )
-            records = [
-                self.schema.decode_payload(plaintext)
-                for plaintext in plaintexts
-                if plaintext is not None
-            ]
-            stats.rows_decrypted += len(records)
-            return records
-

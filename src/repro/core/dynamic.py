@@ -31,7 +31,13 @@ from repro.core.aggregation import evaluate_aggregate
 from repro.core.binning import Bin
 from repro.core.context import EpochContext, _count_tuples
 from repro.core.epoch import EpochPackage, fake_index_plaintext, index_plaintext
-from repro.core.queries import Aggregate, Predicate, QueryStats, RangeQuery
+from repro.core.queries import (
+    Aggregate,
+    Predicate,
+    QueryStats,
+    RangeQuery,
+    resolve_predicate,
+)
 from repro.core.service import ServiceProvider
 from repro.crypto.det import DeterministicCipher
 from repro.crypto.keys import derive_rewrite_key
@@ -77,6 +83,9 @@ class DynamicConcealer:
         span = self._rounds_in_span(query)
         if not span:
             raise QueryError("query range covers no ingested round")
+        # Resolved before any fetch: an unanswerable query must fail
+        # before it rewrites a single bin.
+        predicate = resolve_predicate(query, self.service.schema)
 
         dynamic_bins = telemetry.counter(
             "concealer_dynamic_bins_fetched_total",
@@ -109,7 +118,7 @@ class DynamicConcealer:
                 finally:
                     self.service.engine.access_log.end_query()
 
-        return self._aggregate(query, all_matched, stats)
+        return self._aggregate(query, predicate, all_matched, stats)
 
     # ------------------------------------------------------------- internals
 
@@ -267,6 +276,7 @@ class DynamicConcealer:
     def _aggregate(
         self,
         query: RangeQuery,
+        predicate: Predicate,
         matched_bins: list[tuple[EpochContext, Bin, list[Row]]],
         stats: QueryStats,
     ) -> tuple[object, QueryStats]:
@@ -279,7 +289,6 @@ class DynamicConcealer:
         count = 0
         for context, chosen, rows in matched_bins:
             cipher = self._bin_cipher_before_rewrite(context, chosen)
-            predicate = self._resolve_predicate(query, context)
             duration = context.grid.spec.epoch_duration
             start = max(query.time_start, context.epoch_id)
             end = min(query.time_end, context.epoch_id + duration - 1)
@@ -290,7 +299,7 @@ class DynamicConcealer:
                         predicate.group, values, t
                     )
                 )
-                for values in self._predicate_combos(predicate)
+                for values in predicate.combinations()
                 for t in timestamps
             }
             position = context.filter_group_position(predicate.group)
@@ -323,26 +332,3 @@ class DynamicConcealer:
                 self.service.enclave.master_key, context.epoch_id, generation
             )
         )
-
-    @staticmethod
-    def _predicate_combos(predicate: Predicate) -> list[tuple]:
-        combos: list[list] = [[]]
-        for value in predicate.values:
-            options = list(value) if isinstance(value, (tuple, list)) else [value]
-            combos = [prefix + [opt] for prefix in combos for opt in options]
-        return [tuple(c) for c in combos]
-
-    @staticmethod
-    def _resolve_predicate(query: RangeQuery, context: EpochContext) -> Predicate:
-        if query.predicate is not None:
-            return query.predicate
-        schema = context.schema
-        for group in schema.filter_groups:
-            if group == schema.index_attributes:
-                return Predicate(group=group, values=tuple(query.index_values))
-        group = schema.filter_groups[0]
-        values = tuple(
-            query.index_values[schema.index_attributes.index(attr)]
-            for attr in group
-        )
-        return Predicate(group=group, values=values)

@@ -11,9 +11,8 @@ no per-row Python objects in the loop.
 Rows inside a packed bin sit in *canonical slot order* — for each
 cell-id of the bin, counters ``1..c_tuple[cid]``, then the bin's fake
 ids ascending.  That is exactly the order the scalar trapdoor fetch
-returns, so ``unpack()`` (the compatibility shim) reproduces the legacy
-row list byte-for-byte and packed answers are byte-identical to scalar
-answers.
+returns, so ``unpack()`` reproduces the fetched row list byte-for-byte
+and packed answers are byte-identical to scalar answers.
 
 Every cell in a column has the same width (the schema pads plaintexts
 and fakes are sized to match), so a bin's packed size is a public
@@ -98,7 +97,7 @@ class PackedBin:
         )
 
     def unpack(self) -> list[Row]:
-        """Compatibility shim: the exact legacy row list, byte-for-byte."""
+        """The rows the trapdoor fetch returns for this bin, byte-for-byte."""
         per_column = [self.column_cells(i) for i in range(len(self.columns))]
         return [
             Row(self.row_ids[j], tuple(cells[j] for cells in per_column))

@@ -14,6 +14,9 @@ The four steps, run inside the enclave:
   rows against the query filters, decrypt only what the aggregate
   needs, and aggregate.
 
+STEP 4 is :func:`finish_query`, shared with the multipoint, eBPB and
+winSecRange range methods.
+
 ``oblivious=True`` selects the §4.3 Concealer+ variant: trapdoor
 generation and filtering run on the data-independent code paths
 (oblivious comparisons + bitonic sort), which the trace recorder can
@@ -25,14 +28,100 @@ from __future__ import annotations
 from repro import telemetry
 from repro.core.aggregation import evaluate_aggregate, needs_decryption
 from repro.core.context import EpochContext
+from repro.core.packed import PackedBin
 from repro.core.queries import (
     Aggregate,
     PointQuery,
-    Predicate,
     QueryStats,
+    resolve_predicate,
 )
 from repro.exceptions import QueryError
-from repro.storage.engine import StorageEngine
+
+
+def finish_query(
+    query,
+    context: EpochContext,
+    payloads: list,
+    stats: QueryStats,
+    expected_cells,
+    build_filters,
+    *,
+    verify: bool,
+    oblivious: bool = False,
+    dedup: bool = False,
+) -> tuple[object, QueryStats]:
+    """STEP 4, shared by the BPB and range executors: verify, filter,
+    decrypt, aggregate.
+
+    ``payloads`` are the fetched units — packed bins or row sequences.
+    When every unit came packed the columnar path runs (batched verify,
+    one vectorized ``np.isin`` filter, only matched payloads decrypted);
+    otherwise the units are unpacked and concatenated into rows, in
+    fetch order, so answers are byte-identical either way.
+
+    ``dedup`` drops repeated index-key ciphertexts *before*
+    verification: winSecRange windows, eBPB cell-id unions and
+    overlapping multipoint bins can fetch the same logical row twice.
+    The index key is the logical identity — byte-identical on every
+    replica, unlike the replica-local physical row id.
+
+    ``expected_cells`` binds verification to the cell-ids the query
+    *requested*: a per-cell hash chain only proves the cells present in
+    the batch are whole, so a host dropping every row of a population-1
+    cell would otherwise leave no counter gap to find.
+
+    ``build_filters()`` returns ``(group, filters)``; it runs after
+    verification.
+    """
+    packed = [p for p in payloads if isinstance(p, PackedBin)]
+    if packed and len(packed) == len(payloads):
+        keep = context.packed_dedup_keep(packed) if dedup else None
+        if verify and not stats.verified:
+            context.verify_packed(packed, expected_cells, keep=keep)
+            stats.verified = True
+    else:
+        packed = None
+        rows = []
+        for payload in payloads:
+            rows.extend(
+                payload.unpack() if isinstance(payload, PackedBin) else payload
+            )
+        if dedup:
+            unique: dict[bytes, object] = {}
+            for row in rows:
+                unique.setdefault(row[-1], row)
+            rows = list(unique.values())
+        if verify and not stats.verified:
+            context.verify_rows(rows, expected_cells)
+            stats.verified = True
+
+    group, filters = build_filters()
+    with telemetry.span(
+        "enclave.aggregate",
+        stage="aggregate",
+        epoch=context.epoch_id,
+        filters=len(filters),
+    ):
+        if packed is not None:
+            mask = context.match_packed(packed, filters, group, stats, keep=keep)
+            matched_count = int(mask.sum())
+        else:
+            match = context.match_rows_oblivious if oblivious else context.match_rows
+            matched = match(rows, filters, group, stats)
+            matched_count = len(matched)
+
+        if query.aggregate is Aggregate.COUNT:
+            return matched_count, stats
+        if not needs_decryption(query.aggregate):
+            raise QueryError(f"unhandled match-only aggregate {query.aggregate}")
+        if packed is not None:
+            records = context.decrypt_packed_records(packed, mask, stats)
+        else:
+            records = context.decrypt_records(matched, stats)
+        answer = evaluate_aggregate(
+            query.aggregate, records, context.schema, query.target, query.k
+        )
+        return answer, stats
 
 
 class BPBExecutor:
@@ -40,14 +129,15 @@ class BPBExecutor:
 
     def __init__(
         self,
-        engine: StorageEngine,
+        fetcher,
         oblivious: bool = False,
         verify: bool = False,
         super_bin_count: int | None = None,
         quarantine=None,
-        fetcher=None,
     ):
-        self.engine = engine
+        # The shared whole-bin fetch path (repro.batching): STEP 3 runs
+        # through its overlay → cache → storage chain.
+        self.fetcher = fetcher
         self.oblivious = oblivious
         self.verify = verify
         # §8: when set, a query fetches its bin's whole super-bin so
@@ -57,10 +147,6 @@ class BPBExecutor:
         # Optional QuarantineLog: cells with standing integrity
         # violations fail fast instead of serving suspect answers.
         self.quarantine = quarantine
-        # Optional shared whole-bin fetch path (repro.batching): routes
-        # STEP 3 through the overlay/cache; without one, the legacy
-        # inline fetch below runs unchanged.
-        self.fetcher = fetcher
 
     def bins_for(
         self, query: PointQuery, context: EpochContext, cell_id: int | None = None
@@ -83,39 +169,6 @@ class BPBExecutor:
             for index in layout.bins_to_fetch(chosen.index)
         ]
 
-    def _fetch_bin_any(self, context, fetch_bin, stats, deadline, overlay):
-        """Retrieve one whole bin (STEP 3): packed when the shared path
-        holds a columnar sidecar, scalar rows otherwise."""
-        if self.fetcher is not None:
-            return self.fetcher.fetch_bin_any(
-                context, fetch_bin, stats, deadline=deadline, overlay=overlay
-            )
-        return self._fetch_bin(context, fetch_bin, stats, deadline, overlay)
-
-    def _fetch_bin(self, context, fetch_bin, stats, deadline, overlay):
-        """Legacy scalar fetch of one whole bin."""
-        if self.fetcher is not None:
-            return self.fetcher.fetch_bin(
-                context, fetch_bin, stats, deadline=deadline, overlay=overlay
-            )
-        # Against a replicated engine, verification moves *into* the
-        # fetch: each replica's answer is checked before acceptance so
-        # a tampered bin costs a failover, not the query.
-        replicated = getattr(self.engine, "supports_replicated_reads", False)
-        verifier = context.verify_rows if (self.verify and replicated) else None
-        if self.oblivious:
-            trapdoors = context.oblivious_trapdoors_for_bin(fetch_bin)
-        else:
-            trapdoors = context.trapdoors_for_bin(fetch_bin)
-        return context.fetch(
-            self.engine,
-            trapdoors,
-            stats,
-            deadline=deadline,
-            verifier=verifier,
-            cells=fetch_bin.cell_ids,
-        )
-
     def execute(
         self, query: PointQuery, context: EpochContext, deadline=None, overlay=None
     ) -> tuple[object, QueryStats]:
@@ -128,7 +181,7 @@ class BPBExecutor:
         owning batch already fetched and verified.
         """
         stats = QueryStats(oblivious=self.oblivious)
-        predicate = self._resolve_predicate(query, context)
+        predicate = resolve_predicate(query, context.schema)
 
         with telemetry.span(
             "enclave.point_query", epoch=context.epoch_id
@@ -145,126 +198,25 @@ class BPBExecutor:
             stats.bins_fetched = len(bins)
             query_span.set(bins=len(bins))
 
-            # STEP 3: trapdoor formulation and retrieval.  Each bin
-            # arrives packed (columnar) or scalar; the whole query runs
-            # the vectorized STEP 4 only when every bin came packed —
-            # a mixed batch unpacks to the legacy path (bit-identical
-            # by the compat shim).
+            # STEP 3: trapdoor formulation and retrieval, one whole bin
+            # at a time (packed when a columnar sidecar serves it).
             payloads = [
-                self._fetch_bin_any(context, fetch_bin, stats, deadline, overlay)
+                self.fetcher.fetch_bin(
+                    context, fetch_bin, stats, deadline=deadline, overlay=overlay
+                )
                 for fetch_bin in bins
             ]
-            packed_bins = [p for p in payloads if hasattr(p, "row_count")]
-            if packed_bins and len(packed_bins) == len(payloads):
-                return self._finish_packed(
-                    query, context, bins, packed_bins, stats, predicate
-                )
-            rows = []
-            for payload in payloads:
-                rows.extend(
-                    payload.unpack() if hasattr(payload, "row_count") else payload
-                )
-
-            # STEP 4: verification, filtering, aggregation.  The verify
-            # is bound to the *requested* cell-ids: without the binding,
-            # dropping every row of a population-1 cell leaves no
-            # counter gap and would pass (per-cell chains prove each
-            # present cell whole, not that the right cells are present).
-            if self.verify and not stats.verified:
-                expected = [cid for b in bins for cid in b.cell_ids]
-                context.verify_rows(rows, expected)
-                stats.verified = True
-
-            filters = context.filters_for(predicate, [query.timestamp])
-            with telemetry.span(
-                "enclave.aggregate",
-                stage="aggregate",
-                epoch=context.epoch_id,
-                filters=len(filters),
-            ):
-                if self.oblivious:
-                    matched = context.match_rows_oblivious(
-                        rows, filters, predicate.group, stats
-                    )
-                else:
-                    matched = context.match_rows(
-                        rows, filters, predicate.group, stats
-                    )
-
-                if query.aggregate is Aggregate.COUNT:
-                    return len(matched), stats
-                if not needs_decryption(query.aggregate):
-                    raise QueryError(
-                        f"unhandled match-only aggregate {query.aggregate}"
-                    )
-                records = context.decrypt_records(matched, stats)
-                answer = evaluate_aggregate(
-                    query.aggregate,
-                    records,
-                    context.schema,
-                    query.target,
-                    query.k,
-                )
-                return answer, stats
-
-    def _finish_packed(
-        self, query, context, bins, packed_bins, stats, predicate
-    ) -> tuple[object, QueryStats]:
-        """STEP 4 over packed bins: batched verify, vectorized filter.
-
-        Same semantics (and byte-identical answers) as the scalar
-        branch; per-row Python is gone — verification decodes index
-        keys in one kernel batch, filtering is a single ``np.isin``,
-        and only matched payloads hit the DET kernel.
-        """
-        if self.verify and not stats.verified:
-            expected = [cid for b in bins for cid in b.cell_ids]
-            context.verify_packed(packed_bins, expected)
-            stats.verified = True
-        filters = context.filters_for(predicate, [query.timestamp])
-        with telemetry.span(
-            "enclave.aggregate",
-            stage="aggregate",
-            epoch=context.epoch_id,
-            filters=len(filters),
-        ):
-            mask = context.match_packed(
-                packed_bins, filters, predicate.group, stats
+            # STEP 4: verification, filtering, aggregation.
+            return finish_query(
+                query,
+                context,
+                payloads,
+                stats,
+                [cid for b in bins for cid in b.cell_ids],
+                lambda: (
+                    predicate.group,
+                    context.filters_for(predicate, [query.timestamp]),
+                ),
+                verify=self.verify,
+                oblivious=self.oblivious,
             )
-            if query.aggregate is Aggregate.COUNT:
-                return int(mask.sum()), stats
-            if not needs_decryption(query.aggregate):
-                raise QueryError(
-                    f"unhandled match-only aggregate {query.aggregate}"
-                )
-            records = context.decrypt_packed_records(packed_bins, mask, stats)
-            answer = evaluate_aggregate(
-                query.aggregate,
-                records,
-                context.schema,
-                query.target,
-                query.k,
-            )
-            return answer, stats
-
-    @staticmethod
-    def _resolve_predicate(query: PointQuery, context: EpochContext) -> Predicate:
-        """Default predicate: match the first filter group on index values."""
-        if query.predicate is not None:
-            return query.predicate
-        schema = context.schema
-        for group in schema.filter_groups:
-            if group == schema.index_attributes:
-                return Predicate(group=group, values=tuple(query.index_values))
-        group = schema.filter_groups[0]
-        try:
-            values = tuple(
-                query.index_values[schema.index_attributes.index(attr)]
-                for attr in group
-            )
-        except ValueError:
-            raise QueryError(
-                f"cannot derive a default predicate from group {group}; "
-                "pass one explicitly"
-            ) from None
-        return Predicate(group=group, values=values)

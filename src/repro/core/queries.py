@@ -63,6 +63,10 @@ class Predicate:
                 f"values, got {len(self.values)}"
             )
 
+    def combinations(self) -> list[tuple]:
+        """Expand wildcard value slots into concrete value tuples."""
+        return expand_slots(self.values)
+
 
 @dataclass(frozen=True)
 class PointQuery:
@@ -110,11 +114,42 @@ class RangeQuery:
 
     def candidate_combinations(self) -> list[tuple]:
         """Expand wildcard slots into the concrete index-value tuples."""
-        combos: list[list] = [[]]
-        for slot in self.index_values:
-            options = list(slot) if isinstance(slot, (tuple, list)) else [slot]
-            combos = [prefix + [opt] for prefix in combos for opt in options]
-        return [tuple(c) for c in combos]
+        return expand_slots(self.index_values)
+
+
+def expand_slots(slots: tuple) -> list[tuple]:
+    """Cross-product of value slots; a tuple or list slot is a wildcard."""
+    combos: list[list] = [[]]
+    for slot in slots:
+        options = list(slot) if isinstance(slot, (tuple, list)) else [slot]
+        combos = [prefix + [opt] for prefix in combos for opt in options]
+    return [tuple(c) for c in combos]
+
+
+def resolve_predicate(query: PointQuery | RangeQuery, schema) -> Predicate:
+    """The query's predicate, or the default one derived from ``schema``.
+
+    The default matches the filter group equal to the index attributes
+    on the index values; failing that, the first filter group, whose
+    attributes must all be index attributes.
+    """
+    if query.predicate is not None:
+        return query.predicate
+    for group in schema.filter_groups:
+        if group == schema.index_attributes:
+            return Predicate(group=group, values=tuple(query.index_values))
+    group = schema.filter_groups[0]
+    try:
+        values = tuple(
+            query.index_values[schema.index_attributes.index(attr)]
+            for attr in group
+        )
+    except ValueError:
+        raise QueryError(
+            f"cannot derive a default predicate from group {group}; "
+            "pass one explicitly"
+        ) from None
+    return Predicate(group=group, values=values)
 
 
 def _check_aggregate(aggregate: Aggregate, target: str | None) -> None:
@@ -159,3 +194,21 @@ class QueryStats:
     cache_misses: int = 0
     rows_from_cache: int = 0
     extra: dict = field(default_factory=dict)
+
+    def add_volumes(self, other: QueryStats) -> None:
+        """Add ``other``'s counters into these stats and OR its flags.
+
+        ``verified`` is left alone: whether a merged answer counts as
+        verified depends on what is merged, so each caller decides.
+        """
+        self.trapdoors_generated += other.trapdoors_generated
+        self.rows_fetched += other.rows_fetched
+        self.rows_matched += other.rows_matched
+        self.rows_decrypted += other.rows_decrypted
+        self.bins_fetched += other.bins_fetched
+        self.failovers += other.failovers
+        self.cache_hits += other.cache_hits
+        self.cache_misses += other.cache_misses
+        self.rows_from_cache += other.rows_from_cache
+        self.degraded = self.degraded or other.degraded
+        self.oblivious = self.oblivious or other.oblivious

@@ -31,12 +31,17 @@ import math
 from dataclasses import dataclass, replace
 
 from repro import telemetry
-from repro.core.aggregation import evaluate_aggregate, needs_decryption
 from repro.core.context import EpochContext
-from repro.core.queries import Aggregate, Predicate, QueryStats, RangeQuery
+from repro.core.point_query import finish_query
+from repro.core.queries import (
+    Aggregate,
+    Predicate,
+    QueryStats,
+    RangeQuery,
+    resolve_predicate,
+)
 from repro.exceptions import IntegrityViolation, QueryError
 from repro.storage.engine import StorageEngine
-from repro.storage.table import Row
 
 
 @dataclass
@@ -78,21 +83,21 @@ class RangeExecutor:
     def __init__(
         self,
         engine: StorageEngine,
+        fetcher,
         oblivious: bool = False,
         verify: bool = False,
         window_subintervals: int = 8,
-        fetcher=None,
     ):
         self.engine = engine
+        # The shared whole-bin fetch path (repro.batching), used by the
+        # multipoint and tree methods — eBPB and winSecRange retrieve
+        # padded cell-id sets, not whole bins, so they fetch directly.
+        self.fetcher = fetcher
         self.oblivious = oblivious
         self.verify = verify
         # λ for winSecRange, measured in grid time-subintervals.
         self.window_subintervals = window_subintervals
         self._ebpb_state: dict[int, _EBPBState] = {}
-        # Optional shared whole-bin fetch path (repro.batching), used by
-        # the multipoint method only — eBPB and winSecRange retrieve
-        # padded cell-id sets, not whole bins, so they cannot share.
-        self.fetcher = fetcher
 
     # ----------------------------------------------------------- §5.1 trivial
 
@@ -106,35 +111,6 @@ class RangeExecutor:
                 if cid not in needed_cids:
                     needed_cids.append(cid)
         return context.layout.bins_of_cell_ids(needed_cids)
-
-    def _fetch_bin_any(self, context, chosen, stats, deadline, overlay):
-        """Retrieve one whole bin: packed when a columnar sidecar
-        exists, scalar rows otherwise."""
-        if self.fetcher is not None:
-            return self.fetcher.fetch_bin_any(
-                context, chosen, stats, deadline=deadline, overlay=overlay
-            )
-        return self._fetch_bin(context, chosen, stats, deadline, overlay)
-
-    def _fetch_bin(self, context, chosen, stats, deadline, overlay):
-        """Legacy scalar fetch of one whole bin."""
-        if self.fetcher is not None:
-            return self.fetcher.fetch_bin(
-                context, chosen, stats, deadline=deadline, overlay=overlay
-            )
-        verifier = self._fetch_verifier(context)
-        if self.oblivious:
-            trapdoors = context.oblivious_trapdoors_for_bin(chosen)
-        else:
-            trapdoors = context.trapdoors_for_bin(chosen)
-        return context.fetch(
-            self.engine,
-            trapdoors,
-            stats,
-            deadline=deadline,
-            verifier=verifier,
-            cells=chosen.cell_ids,
-        )
 
     def execute_multipoint(
         self, query: RangeQuery, context: EpochContext, deadline=None, overlay=None
@@ -150,21 +126,13 @@ class RangeExecutor:
             bins=len(bins),
         ):
             payloads = [
-                self._fetch_bin_any(context, chosen, stats, deadline, overlay)
+                self.fetcher.fetch_bin(
+                    context, chosen, stats, deadline=deadline, overlay=overlay
+                )
                 for chosen in bins
             ]
             expected = [cid for chosen in bins for cid in chosen.cell_ids]
-            packed_bins = [p for p in payloads if hasattr(p, "row_count")]
-            if packed_bins and len(packed_bins) == len(payloads):
-                return self._finish_packed(
-                    query, context, packed_bins, stats, expected
-                )
-            rows: list[Row] = []
-            for payload in payloads:
-                rows.extend(
-                    payload.unpack() if hasattr(payload, "row_count") else payload
-                )
-            return self._finish(query, context, rows, stats, expected)
+            return self._finish(query, context, payloads, stats, expected)
 
     # ------------------------------------------------------ aggregate tree
 
@@ -273,15 +241,9 @@ class RangeExecutor:
         ):
             decoded = []
             if coords:
-                if self.fetcher is not None:
-                    payload = self.fetcher.fetch_tree_nodes(
-                        context, meta, coords, stats, deadline=deadline
-                    )
-                else:
-                    payload = context.fetch_tree_nodes(
-                        self.engine, meta, coords, stats,
-                        deadline=deadline, verify=self.verify,
-                    )
+                payload = self.fetcher.fetch_tree_nodes(
+                    context, meta, coords, stats, deadline=deadline
+                )
                 if payload is None:
                     # Sidecar vanished between the meta read and the
                     # node read (mutation, exhausted replicas): the bin
@@ -332,7 +294,8 @@ class RangeExecutor:
                     sub_query, context, deadline=deadline, overlay=overlay
                 )
                 sub_answers.append(sub_answer)
-                self._merge_stats(stats, sub_stats)
+                stats.add_volumes(sub_stats)
+                stats.verified = stats.verified or sub_stats.verified
 
             if query.aggregate is Aggregate.COUNT:
                 return tree_count + sum(sub_answers), stats
@@ -354,21 +317,6 @@ class RangeExecutor:
             if query.aggregate is Aggregate.MIN:
                 return min(values), stats
             return max(values), stats
-
-    @staticmethod
-    def _merge_stats(stats: QueryStats, sub: QueryStats) -> None:
-        """Fold a residue sub-query's accounting into the main stats."""
-        stats.trapdoors_generated += sub.trapdoors_generated
-        stats.rows_fetched += sub.rows_fetched
-        stats.rows_matched += sub.rows_matched
-        stats.rows_decrypted += sub.rows_decrypted
-        stats.bins_fetched += sub.bins_fetched
-        stats.failovers += sub.failovers
-        stats.cache_hits += sub.cache_hits
-        stats.cache_misses += sub.cache_misses
-        stats.rows_from_cache += sub.rows_from_cache
-        stats.verified = stats.verified or sub.verified
-        stats.degraded = stats.degraded or sub.degraded
 
     # -------------------------------------------------------------- §5.2 eBPB
 
@@ -421,7 +369,7 @@ class RangeExecutor:
                 verifier=verifier,
                 cells=needed_cids,
             )
-            return self._finish(query, context, rows, stats, needed_cids)
+            return self._finish(query, context, [rows], stats, needed_cids)
 
     def _ebpb_budget(self, context: EpochContext, span: int) -> _EBPBState:
         """STEP 2–3: per-column worst-case volumes for ℓ-window queries.
@@ -486,7 +434,7 @@ class RangeExecutor:
             method="winsecrange",
             windows=len(windows),
         ):
-            rows: list[Row] = []
+            payloads = []
             fake_offset = 0
             expected: list[int] = []
             for window in windows:
@@ -498,7 +446,7 @@ class RangeExecutor:
                 )
                 fake_offset += len(fake_ids)
                 trapdoors = context.trapdoors_for_cell_ids(cids, fake_ids)
-                rows.extend(
+                payloads.append(
                     context.fetch(
                         self.engine,
                         trapdoors,
@@ -510,7 +458,7 @@ class RangeExecutor:
                 )
             stats.bins_fetched = len(windows)
             stats.extra["window_size"] = window_size
-            return self._finish(query, context, rows, stats, expected)
+            return self._finish(query, context, payloads, stats, expected)
 
     def _covering_windows(self, query: RangeQuery, context: EpochContext) -> list[int]:
         """The λ-window indices intersecting the query's time range."""
@@ -596,122 +544,37 @@ class RangeExecutor:
         self,
         query: RangeQuery,
         context: EpochContext,
-        rows: list[Row],
+        payloads: list,
         stats: QueryStats,
-        expected_cells=None,
+        expected_cells,
     ) -> tuple[object, QueryStats]:
-        """Shared STEP 4: verify, filter, decrypt, aggregate.
+        """The shared STEP 4 (:func:`~repro.core.point_query.finish_query`),
+        de-duplicating rows first: windows, cell-id unions and
+        overlapping bins can fetch the same row more than once, and
+        matching must not double-count it."""
 
-        Rows are de-duplicated by their index-key ciphertext first:
-        winSecRange windows (and, with coarse grids, eBPB cell-id
-        unions) can fetch the same row more than once, and matching must
-        not double-count it.  The index key is the *logical* identity —
-        deterministic encryption of ``cid ‖ counter`` (``fake ‖ j`` for
-        fakes), byte-identical on every replica.  Physical row ids are
-        replica-local and diverge after repair or failover, so two rows
-        sharing an id can be *different* logical rows when a window's
-        fetches land on different replicas; deduplicating by id would
-        silently drop real rows there.
-
-        ``expected_cells`` binds verification to the cell-ids the query
-        *requested*: a per-cell hash chain only proves the cells present
-        in the batch are whole, so a host dropping every row of a
-        population-1 cell would otherwise leave no counter gap to find.
-        """
-        seen: set[bytes] = set()
-        unique_rows: list[Row] = []
-        for row in rows:
-            if row[-1] not in seen:
-                seen.add(row[-1])
-                unique_rows.append(row)
-        rows = unique_rows
-        if self.verify and not stats.verified:
-            context.verify_rows(rows, expected_cells)
-            stats.verified = True
-
-        predicate = self._resolve_predicate(query, context)
-        timestamps = context.query_timestamps(query.time_start, query.time_end)
-        filters = self._expand_filters(query, context, predicate, timestamps)
-
-        with telemetry.span(
-            "enclave.aggregate",
-            stage="aggregate",
-            epoch=context.epoch_id,
-            filters=len(filters),
-        ):
-            if self.oblivious:
-                matched = context.match_rows_oblivious(
-                    rows, filters, predicate.group, stats
-                )
-            else:
-                matched = context.match_rows(
-                    rows, filters, predicate.group, stats
-                )
-
-            if query.aggregate is Aggregate.COUNT:
-                return len(matched), stats
-            if not needs_decryption(query.aggregate):
-                raise QueryError(
-                    f"unhandled match-only aggregate {query.aggregate}"
-                )
-            records = context.decrypt_records(matched, stats)
-            answer = evaluate_aggregate(
-                query.aggregate, records, context.schema, query.target, query.k
+        def build_filters():
+            predicate = resolve_predicate(query, context.schema)
+            timestamps = context.query_timestamps(query.time_start, query.time_end)
+            return predicate.group, self._expand_filters(
+                context, predicate, timestamps
             )
-            return answer, stats
 
-    def _finish_packed(
-        self,
-        query: RangeQuery,
-        context: EpochContext,
-        packed_bins: list,
-        stats: QueryStats,
-        expected_cells=None,
-    ) -> tuple[object, QueryStats]:
-        """Columnar STEP 4 — byte-identical to :meth:`_finish`.
+        return finish_query(
+            query,
+            context,
+            payloads,
+            stats,
+            expected_cells,
+            build_filters,
+            verify=self.verify,
+            oblivious=self.oblivious,
+            dedup=True,
+        )
 
-        The de-dup becomes a first-occurrence keep mask over the
-        concatenated index-key columns (same pre-verification ordering:
-        tamper-duplicates are dropped before chains are checked), the
-        string match one vectorized ``isin``, and decryption touches
-        only the masked payload cells.
-        """
-        keep = context.packed_dedup_keep(packed_bins)
-        if self.verify and not stats.verified:
-            context.verify_packed(packed_bins, expected_cells, keep=keep)
-            stats.verified = True
-
-        predicate = self._resolve_predicate(query, context)
-        timestamps = context.query_timestamps(query.time_start, query.time_end)
-        filters = self._expand_filters(query, context, predicate, timestamps)
-
-        with telemetry.span(
-            "enclave.aggregate",
-            stage="aggregate",
-            epoch=context.epoch_id,
-            filters=len(filters),
-        ):
-            mask = context.match_packed(
-                packed_bins, filters, predicate.group, stats, keep=keep
-            )
-            if query.aggregate is Aggregate.COUNT:
-                return int(mask.sum()), stats
-            if not needs_decryption(query.aggregate):
-                raise QueryError(
-                    f"unhandled match-only aggregate {query.aggregate}"
-                )
-            records = context.decrypt_packed_records(packed_bins, mask, stats)
-            answer = evaluate_aggregate(
-                query.aggregate, records, context.schema, query.target, query.k
-            )
-            return answer, stats
-
+    @staticmethod
     def _expand_filters(
-        self,
-        query: RangeQuery,
-        context: EpochContext,
-        predicate: Predicate,
-        timestamps: list[int],
+        context: EpochContext, predicate: Predicate, timestamps: list[int]
     ) -> list[bytes]:
         """Filters for every (candidate predicate values × timestamp).
 
@@ -720,41 +583,11 @@ class RangeExecutor:
         mirrors Table 4's Q2 filters ``E_k(l_i|t_j)`` over the full
         location domain.
         """
-        value_options: list[list] = []
-        for value in predicate.values:
-            options = list(value) if isinstance(value, (tuple, list)) else [value]
-            value_options.append(options)
-        combos: list[list] = [[]]
-        for options in value_options:
-            combos = [prefix + [opt] for prefix in combos for opt in options]
         filters: list[bytes] = []
-        for combo in combos:
+        for values in predicate.combinations():
             filters.extend(
                 context.filters_for(
-                    Predicate(group=predicate.group, values=tuple(combo)),
-                    timestamps,
+                    Predicate(group=predicate.group, values=values), timestamps
                 )
             )
         return filters
-
-    @staticmethod
-    def _resolve_predicate(query: RangeQuery, context: EpochContext) -> Predicate:
-        """Default predicate mirrors the point-query rule."""
-        if query.predicate is not None:
-            return query.predicate
-        schema = context.schema
-        for group in schema.filter_groups:
-            if group == schema.index_attributes:
-                return Predicate(group=group, values=tuple(query.index_values))
-        group = schema.filter_groups[0]
-        try:
-            values = tuple(
-                query.index_values[schema.index_attributes.index(attr)]
-                for attr in group
-            )
-        except ValueError:
-            raise QueryError(
-                f"cannot derive a default predicate from group {group}; "
-                "pass one explicitly"
-            ) from None
-        return Predicate(group=group, values=values)

@@ -317,19 +317,18 @@ class ServiceProvider:
             self._fetcher, workers=self.config.batch_workers
         )
         self._point_executor = BPBExecutor(
-            self.engine,
+            self._fetcher,
             oblivious=self.config.oblivious,
             verify=self.config.verify,
             super_bin_count=self.config.super_bin_count,
             quarantine=self.quarantine,
-            fetcher=self._fetcher,
         )
         self._range_executor = RangeExecutor(
             self.engine,
+            self._fetcher,
             oblivious=self.config.oblivious,
             verify=self.config.verify,
             window_subintervals=self.config.window_subintervals,
-            fetcher=self._fetcher,
         )
 
     # -------------------------------------------------------------- ingestion
@@ -449,7 +448,6 @@ class ServiceProvider:
     def adopt_engine(self, engine: StorageEngine) -> None:
         """Swap in a storage engine restored from a checkpoint."""
         self.engine = engine
-        self._point_executor.engine = engine
         self._range_executor.engine = engine
         self._fetcher.engine = engine
         if self.bin_cache is not None:

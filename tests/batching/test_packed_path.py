@@ -175,3 +175,68 @@ class TestPackedCache:
             entry.rows.nbytes for entry in cache._entries.values()
         )
         assert charged == packed_len > 0
+
+
+def _serve_even_bins_packed(service) -> list[int]:
+    """Make the engine's packed sidecar answer only even bin indices.
+
+    Odd bins then fall back to the trapdoor row fetch, so one query's
+    bins arrive partly packed and partly as rows.  Returns the list of
+    bin indices the packed read was asked for.
+    """
+    engine = service.engine
+    original = engine.fetch_packed_bin
+    requested: list[int] = []
+
+    def fetch_packed_bin(table, bin_index, **kwargs):
+        requested.append(bin_index)
+        if bin_index % 2:
+            return None
+        return original(table, bin_index, **kwargs)
+
+    engine.fetch_packed_bin = fetch_packed_bin
+    return requested
+
+
+class TestMixedPayloads:
+    """STEP 4 over a query whose bins arrive partly packed, partly rows."""
+
+    def test_multipoint_range_over_mixed_bins(self):
+        records = _records(5)
+        locations = tuple(sorted({location for location, _, _ in records}))
+        query = RangeQuery(
+            index_values=(locations,),
+            time_start=60,
+            time_end=420,
+            aggregate=Aggregate.COLLECT,
+        )
+        _, mixed = make_stack(SPEC, records, verify=True)
+        _, scalar = make_stack(SPEC, records, verify=True, packed_bins=False)
+        requested = _serve_even_bins_packed(mixed)
+
+        answer, stats = mixed.execute_range(query, method="multipoint")
+
+        assert stats.bins_fetched >= 2 and stats.verified
+        assert {index % 2 for index in requested} == {0, 1}
+        assert answer == scalar.execute_range(query, method="multipoint")[0]
+        truth = [r for r in records if 60 <= r[1] <= 420]
+        assert sorted(answer) == sorted(truth)
+
+    def test_super_bin_point_over_mixed_bins(self):
+        records = _records(5)
+        location, timestamp, _ = records[0]
+        query = PointQuery(index_values=(location,), timestamp=timestamp)
+        _, mixed = make_stack(SPEC, records, verify=True, super_bin_count=2)
+        _, scalar = make_stack(
+            SPEC, records, verify=True, super_bin_count=2, packed_bins=False
+        )
+        requested = _serve_even_bins_packed(mixed)
+
+        answer, stats = mixed.execute_point(query)
+
+        assert stats.bins_fetched >= 2 and stats.verified
+        assert {index % 2 for index in requested} == {0, 1}
+        assert answer == scalar.execute_point(query)[0]
+        assert answer == sum(
+            1 for r in records if r[0] == location and r[1] == timestamp
+        )

@@ -11,7 +11,8 @@ from repro import (
     ServiceProvider,
     WIFI_SCHEMA,
 )
-from repro.core.queries import Aggregate, RangeQuery
+from repro.core.queries import Aggregate, PointQuery, RangeQuery
+from repro.core.schema import DatasetSchema
 from repro.exceptions import QueryError
 
 KEY = b"\x21" * 32
@@ -152,3 +153,60 @@ class TestDecoys:
         floor = math.ceil(math.log2(max(total_bins, 2)))
         # 4 rounds, each fetching at least the floor
         assert stats.bins_fetched >= 4 * min(floor, total_bins)
+
+
+class TestUnresolvablePredicate:
+    """A schema whose first filter group names a non-index attribute has
+    no default predicate: every executor must refuse with QueryError,
+    and the §6 executor must refuse before it rewrites any bin."""
+
+    SCHEMA = DatasetSchema(
+        name="observation-filtered",
+        attributes=("location", "time", "observation"),
+        time_attribute="time",
+        index_attributes=("location",),
+        filter_groups=(("observation",),),
+    )
+
+    def _dynamic(self):
+        rng = random.Random(5)
+        spec = GridSpec(dimension_sizes=(6, 8), cell_id_count=24, epoch_duration=ROUND)
+        provider = DataProvider(
+            self.SCHEMA, spec, first_epoch_id=0, master_key=KEY,
+            time_granularity=60, rng=rng,
+        )
+        service = ServiceProvider(self.SCHEMA)
+        provider.provision_enclave(service.enclave)
+        dynamic = DynamicConcealer(service, rng=random.Random(6))
+        for epoch_id in (0, ROUND):
+            records = [
+                (f"ap{rng.randrange(6)}", t, f"dev{d}")
+                for t in range(epoch_id, epoch_id + ROUND, 60)
+                for d in range(4)
+            ]
+            dynamic.ingest_round(provider.encrypt_epoch(records, epoch_id))
+        return dynamic
+
+    def _generations(self, dynamic):
+        return {
+            (epoch_id, chosen.index): dynamic.generation(epoch_id, chosen.index)
+            for epoch_id in dynamic.rounds()
+            for chosen in dynamic.service.context_for(epoch_id).layout.bins
+        }
+
+    def test_dynamic_range_raises_query_error_before_any_rewrite(self):
+        dynamic = self._dynamic()
+        before = self._generations(dynamic)
+        query = RangeQuery(index_values=("ap1",), time_start=0, time_end=2 * ROUND - 1)
+        with pytest.raises(QueryError, match="default predicate"):
+            dynamic.execute_range(query)
+        assert self._generations(dynamic) == before
+
+    def test_service_executors_raise_query_error(self):
+        service = self._dynamic().service
+        with pytest.raises(QueryError, match="default predicate"):
+            service.execute_point(PointQuery(index_values=("ap1",), timestamp=60))
+        with pytest.raises(QueryError, match="default predicate"):
+            service.execute_range(
+                RangeQuery(index_values=("ap1",), time_start=0, time_end=ROUND - 1)
+            )
